@@ -59,13 +59,17 @@ pub fn two_pole_delay(m1: f64, m2: f64) -> f64 {
         }
         hi *= 2.0;
     }
+    // At most 80 halvings; stop at the first one that leaves `(lo, hi)`
+    // unchanged. Each step is a pure function of `(lo, hi)`, so every later
+    // step would repeat it and the answer is bit-identical to running all 80.
     for _ in 0..80 {
         let mid = 0.5 * (lo + hi);
-        if v(mid) < 0.5 {
-            lo = mid;
-        } else {
-            hi = mid;
+        let (next_lo, next_hi) = if v(mid) < 0.5 { (mid, hi) } else { (lo, mid) };
+        if next_lo.to_bits() == lo.to_bits() && next_hi.to_bits() == hi.to_bits() {
+            break;
         }
+        lo = next_lo;
+        hi = next_hi;
     }
     0.5 * (lo + hi)
 }
@@ -135,6 +139,71 @@ mod tests {
         let m1 = 1e-12;
         let m2 = 0.5e-24;
         assert!((two_pole_delay(m1, m2) - core::f64::consts::LN_2 * m1).abs() < 1e-24);
+    }
+
+    /// The bisection as it ran before the early exit: always 80 halvings.
+    fn two_pole_delay_fixed_80(m1: f64, m2: f64) -> f64 {
+        let prod = m1 * m1 - m2;
+        let disc = m1 * m1 - 4.0 * prod;
+        if prod <= 0.0 || disc < 0.0 {
+            return core::f64::consts::LN_2 * m1;
+        }
+        let sq = disc.sqrt();
+        let tau1 = 0.5 * (m1 + sq);
+        let tau2 = 0.5 * (m1 - sq);
+        if tau2 <= 0.0 || (tau1 - tau2) < 1e-18 * tau1 {
+            return core::f64::consts::LN_2 * m1;
+        }
+        let v =
+            |t: f64| 1.0 - (tau1 * (-t / tau1).exp() - tau2 * (-t / tau2).exp()) / (tau1 - tau2);
+        let mut lo = 0.0;
+        let mut hi = 20.0 * m1;
+        for _ in 0..200 {
+            if v(hi) >= 0.5 {
+                break;
+            }
+            hi *= 2.0;
+        }
+        for _ in 0..80 {
+            let mid = 0.5 * (lo + hi);
+            if v(mid) < 0.5 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    #[test]
+    fn early_exit_matches_the_fixed_80_step_bisection() {
+        // m2/m1² spans every branch: complex poles (< 0.75), the coincident-
+        // pole edge (= 0.75 and just above), distinct real poles, and the
+        // non-physical m2 ≥ m1² fallback.
+        let mut ratios = vec![0.3, 0.5, 0.7499999, 0.75, 0.75 + 1e-15, 0.7500001];
+        ratios.extend((0..=200).map(|i| 0.75 + 0.25 * i as f64 / 200.0));
+        ratios.extend([0.999_999_999, 1.0, 1.000_000_1, 1.5, 3.0]);
+        let mut branches = [false; 3];
+        for e in -16..=-8 {
+            for mantissa in [1.0, 1.37, 2.9, 7.3] {
+                let m1 = mantissa * 10f64.powi(e);
+                for &r in &ratios {
+                    let m2 = r * m1 * m1;
+                    let fast = two_pole_delay(m1, m2);
+                    let fixed = two_pole_delay_fixed_80(m1, m2);
+                    assert_eq!(fast.to_bits(), fixed.to_bits(), "m1 {m1:e}, m2/m1² {r}");
+                    let two_pole = fast != core::f64::consts::LN_2 * m1;
+                    if r < 0.75 {
+                        branches[0] = true;
+                    } else if r >= 1.0 {
+                        branches[1] = true;
+                    } else if two_pole {
+                        branches[2] = true;
+                    }
+                }
+            }
+        }
+        assert_eq!(branches, [true, true, true], "grid must reach every branch");
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! * [`design`] — netlist + library + technology + generated parasitics;
 //! * [`wire_sim`] — per-trial wire evaluation (transient or two-pole) with
 //!   the driver's sampled current folded in;
+//! * [`trial`] — the golden per-trial walks over a whole circuit or one
+//!   path, built once per run on [`wire_sim::WirePlan`]'s flattened nets;
 //! * [`path_sim`] — critical-path and whole-circuit MC with shared global
 //!   corners, per-gate local mismatch and slew propagation;
 //! * [`result`] — sample container with moment/quantile summaries.
@@ -36,9 +38,13 @@
 pub mod design;
 pub mod path_sim;
 pub mod result;
+pub mod trial;
 pub mod wire_sim;
 
 pub use design::Design;
 pub use path_sim::{find_critical_path, simulate_circuit_mc, simulate_path_mc, PathMcConfig};
 pub use result::McResult;
-pub use wire_sim::{sample_wire, simulate_wire_mc, WireGoldenMode, WireMcConfig, WireSample};
+pub use trial::{CircuitPlan, TrialScratch};
+pub use wire_sim::{
+    sample_wire, simulate_wire_mc, WireGoldenMode, WireMcConfig, WirePlan, WireSample, WireScratch,
+};

@@ -4,15 +4,15 @@
 //! local mismatch deviate per gate. The *same* threshold sample drives a
 //! gate's cell delay and its driver resistance into the downstream wire —
 //! this shared sample is exactly the cell/wire interaction the paper's
-//! calibration targets. Slew propagates stage to stage.
+//! calibration targets. Slew propagates stage to stage. The per-trial walks
+//! themselves live in [`crate::trial`].
 
 use crate::design::Design;
 use crate::result::McResult;
-use crate::wire_sim::{sample_wire, WireGoldenMode};
-use nsigma_cells::timing::{evaluate_arc_pair, nominal_arc};
+use crate::trial::{run_trials, CircuitPlan, PathPlan};
+use nsigma_cells::timing::nominal_arc;
 use nsigma_interconnect::elmore::elmore_all;
-use nsigma_netlist::ir::NetDriver;
-use nsigma_netlist::topo::{longest_path_by, Path};
+use nsigma_netlist::topo::{longest_path_by, NetlistCsr, Path};
 use nsigma_process::VariationModel;
 use nsigma_stats::rng::SeedStream;
 use rand::rngs::SmallRng;
@@ -71,7 +71,8 @@ fn nominal_stage_weight(design: &Design, g: nsigma_netlist::ir::GateId) -> f64 {
 }
 
 /// One sampled path delay (s). Exposed for the experiment binaries that need
-/// per-stage breakdowns.
+/// per-stage breakdowns; it builds the path's [`PathPlan`] on every call,
+/// so loops should use [`simulate_path_mc`], which builds it once.
 pub fn sample_path<R: Rng + ?Sized>(
     design: &Design,
     variation: &VariationModel,
@@ -80,73 +81,9 @@ pub fn sample_path<R: Rng + ?Sized>(
     global: &nsigma_process::GlobalSample,
     rng: &mut R,
 ) -> f64 {
-    let tech = &design.tech;
-    let mut slew = input_slew;
-    let mut total = 0.0;
-
-    for (k, &g) in path.gates.iter().enumerate() {
-        let gate = design.netlist.gate(g);
-        let cell = design.lib.cell(gate.cell);
-        // Independent mismatch per arc network, exactly as characterization
-        // draws it; the pull-down deviate also sets the driver resistance
-        // seen by the output wire (the cell/wire interaction).
-        let (pd, pu) = cell.arc_stacks();
-        let dloc = variation.sample_local_vth(rng, pd.effective_local_sigma(tech));
-        let dloc_rise = variation.sample_local_vth(rng, pu.effective_local_sigma(tech));
-
-        let net = gate.output;
-        let (wire_delay, load_cap) = match design.parasitic(net) {
-            Some(tree) if !tree.sinks().is_empty() => {
-                let loads = design.load_cells(net);
-                let ws = sample_wire(
-                    tech,
-                    variation,
-                    tree,
-                    cell,
-                    &loads,
-                    slew,
-                    global,
-                    dloc,
-                    rng,
-                    WireGoldenMode::TwoPole,
-                );
-                // The sink feeding the next path gate (first sink if this is
-                // the endpoint net).
-                let pos = path
-                    .gates
-                    .get(k + 1)
-                    .and_then(|&next| {
-                        design
-                            .netlist
-                            .net(net)
-                            .loads
-                            .iter()
-                            .position(|&(lg, _)| lg == next)
-                    })
-                    .unwrap_or(0);
-                let scale = design.wire_golden_scale(net).map(|s| s[pos]).unwrap_or(1.0);
-                // The cell arc is evaluated at the effective capacitance so
-                // cell + wire decompose the true source→sink delay exactly.
-                (ws.delays[pos] * scale, ws.c_eff)
-            }
-            _ => (0.0, cell.output_parasitic(tech)),
-        };
-
-        let arc = evaluate_arc_pair(
-            tech,
-            cell,
-            slew,
-            load_cap,
-            global.dvth + dloc,
-            global.dvth + dloc_rise,
-            global.mobility,
-        );
-        total += arc.delay + wire_delay;
-        // Wire RC also degrades the edge arriving at the next stage (the
-        // decomposition residual can be slightly negative; slew stays ≥ 0).
-        slew = (arc.output_slew + 2.0 * wire_delay).max(0.0);
-    }
-    total
+    let plan = PathPlan::new(design, path);
+    let mut scratch = plan.scratch();
+    plan.trial(variation, input_slew, global, rng, &mut scratch)
 }
 
 /// Runs the path Monte Carlo in parallel, deterministically in `cfg.seed`.
@@ -160,33 +97,19 @@ pub fn simulate_path_mc(design: &Design, path: &Path, cfg: &PathMcConfig) -> McR
     let variation = VariationModel::new(&design.tech);
     let seeds = SeedStream::new(cfg.seed);
     let start = Instant::now();
+    let plan = PathPlan::new(design, path);
 
-    let n_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(cfg.samples);
     let mut samples = vec![0.0; cfg.samples];
-
-    crossbeam::scope(|scope| {
-        for (t, chunk) in samples
-            .chunks_mut(cfg.samples.div_ceil(n_threads))
-            .enumerate()
-        {
-            let seeds = &seeds;
-            let variation = &variation;
-            let base = t * cfg.samples.div_ceil(n_threads);
-            scope.spawn(move |_| {
-                for (i, out) in chunk.iter_mut().enumerate() {
-                    let trial = base + i;
-                    let mut rng = SmallRng::seed_from_u64(seeds.tagged_seed(trial as u64));
-                    let global = variation.sample_global(&mut rng);
-                    *out = sample_path(design, variation, path, cfg.input_slew, &global, &mut rng);
-                }
-            });
-        }
-    })
-    .expect("path MC scope failed");
-
+    run_trials(
+        &mut samples,
+        1,
+        || plan.scratch(),
+        |trial, scratch, out| {
+            let mut rng = SmallRng::seed_from_u64(seeds.tagged_seed(trial as u64));
+            let global = variation.sample_global(&mut rng);
+            out[0] = plan.trial(&variation, cfg.input_slew, &global, &mut rng, scratch);
+        },
+    );
     McResult::from_samples(samples, start.elapsed())
 }
 
@@ -194,7 +117,9 @@ pub fn simulate_path_mc(design: &Design, path: &Path, cfg: &PathMcConfig) -> McR
 /// through the whole netlist and records the worst primary-output arrival.
 ///
 /// This is the most faithful golden (the tail-critical path can differ from
-/// the nominal one) but costs `O(gates × samples)`.
+/// the nominal one) but costs `O(gates × samples)`. Each trial is one
+/// [`CircuitPlan::trial`] — the same walk the yield engine runs — under a
+/// tagged per-trial seed.
 ///
 /// # Panics
 ///
@@ -202,133 +127,23 @@ pub fn simulate_path_mc(design: &Design, path: &Path, cfg: &PathMcConfig) -> McR
 pub fn simulate_circuit_mc(design: &Design, cfg: &PathMcConfig) -> McResult {
     assert!(cfg.samples > 0, "circuit MC needs samples");
     assert!(design.netlist.num_gates() > 0, "circuit MC needs gates");
-    let variation = VariationModel::new(&design.tech);
     let seeds = SeedStream::new(cfg.seed);
-    let order = nsigma_netlist::topo::topo_order(&design.netlist);
     let start = Instant::now();
+    let csr = NetlistCsr::build(&design.netlist);
+    let plan = CircuitPlan::new(design, &csr, cfg.input_slew);
 
-    let n_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(cfg.samples);
     let mut samples = vec![0.0; cfg.samples];
-
-    crossbeam::scope(|scope| {
-        for (t, chunk) in samples
-            .chunks_mut(cfg.samples.div_ceil(n_threads))
-            .enumerate()
-        {
-            let seeds = &seeds;
-            let variation = &variation;
-            let order = &order;
-            let base = t * cfg.samples.div_ceil(n_threads);
-            scope.spawn(move |_| {
-                for (i, out) in chunk.iter_mut().enumerate() {
-                    let trial = base + i;
-                    let mut rng = SmallRng::seed_from_u64(seeds.tagged_seed(trial as u64));
-                    let global = variation.sample_global(&mut rng);
-                    *out =
-                        sample_circuit(design, variation, order, cfg.input_slew, &global, &mut rng);
-                }
-            });
-        }
-    })
-    .expect("circuit MC scope failed");
-
+    run_trials(
+        &mut samples,
+        1,
+        || plan.scratch(),
+        |trial, scratch, out| {
+            let mut rng = SmallRng::seed_from_u64(seeds.tagged_seed(trial as u64));
+            let global = plan.variation().sample_global(&mut rng);
+            out[0] = plan.trial(&global, scratch, &mut rng);
+        },
+    );
     McResult::from_samples(samples, start.elapsed())
-}
-
-/// One trial of whole-circuit arrival propagation; returns the worst PO
-/// arrival time.
-fn sample_circuit<R: Rng + ?Sized>(
-    design: &Design,
-    variation: &VariationModel,
-    order: &[nsigma_netlist::ir::GateId],
-    input_slew: f64,
-    global: &nsigma_process::GlobalSample,
-    rng: &mut R,
-) -> f64 {
-    let tech = &design.tech;
-    let nets = design.netlist.num_nets();
-    // Arrival time and slew at each net.
-    let mut arrival = vec![0.0f64; nets];
-    let mut slew = vec![input_slew; nets];
-
-    for &g in order {
-        let gate = design.netlist.gate(g);
-        let cell = design.lib.cell(gate.cell);
-        let (pd, pu) = cell.arc_stacks();
-        let dloc = variation.sample_local_vth(rng, pd.effective_local_sigma(tech));
-        let dloc_rise = variation.sample_local_vth(rng, pu.effective_local_sigma(tech));
-
-        // Worst input arrival/slew.
-        let (in_arrival, in_slew) = gate
-            .inputs
-            .iter()
-            .map(|&i| (arrival[i.index()], slew[i.index()]))
-            .fold(
-                (0.0f64, input_slew),
-                |(a, s), (ai, si)| {
-                    if ai > a {
-                        (ai, si)
-                    } else {
-                        (a, s)
-                    }
-                },
-            );
-
-        let net = gate.output;
-        let (wire_delays, load_cap) = match design.parasitic(net) {
-            Some(tree) if !tree.sinks().is_empty() => {
-                let loads = design.load_cells(net);
-                let ws = sample_wire(
-                    tech,
-                    variation,
-                    tree,
-                    cell,
-                    &loads,
-                    in_slew,
-                    global,
-                    dloc,
-                    rng,
-                    WireGoldenMode::TwoPole,
-                );
-                let scaled: Vec<f64> = match design.wire_golden_scale(net) {
-                    Some(sc) => ws.delays.iter().zip(sc).map(|(d, s)| d * s).collect(),
-                    None => ws.delays,
-                };
-                (scaled, ws.c_eff)
-            }
-            _ => (Vec::new(), cell.output_parasitic(tech)),
-        };
-
-        let arc = evaluate_arc_pair(
-            tech,
-            cell,
-            in_slew,
-            load_cap,
-            global.dvth + dloc,
-            global.dvth + dloc_rise,
-            global.mobility,
-        );
-        // Net arrival at the driver pin; per-sink lag folded into the worst
-        // over sinks (each sink is a load; for arrival at the net we keep
-        // the root value and let loads add their sink lag — approximated by
-        // the max sink lag here, conservative and cheap).
-        let sink_lag = wire_delays.iter().copied().fold(0.0f64, f64::max);
-        arrival[net.index()] = in_arrival + arc.delay + sink_lag;
-        slew[net.index()] = (arc.output_slew + 2.0 * sink_lag).max(0.0);
-    }
-
-    design
-        .netlist
-        .outputs()
-        .iter()
-        .map(|&o| match design.netlist.net(o).driver {
-            NetDriver::Gate(_) => arrival[o.index()],
-            NetDriver::PrimaryInput => 0.0,
-        })
-        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]

@@ -14,10 +14,16 @@
 //! on the driver and load cells (eq. 5–7). The total source→sink delay is
 //! measured by backward-Euler transient (reference) or by the driver-folded
 //! two-pole model (fast circuit-scale mode).
+//!
+//! **The kernel.** [`WirePlan`] flattens each net once into parent-index,
+//! R and C arrays; [`WirePlan::sample`] then draws one trial's factors into
+//! a reusable [`WireScratch`] and computes the two-pole moments in place,
+//! with the sampled driver resistance folded in as node 0's edge. Every
+//! Monte-Carlo caller goes through it; [`sample_wire`] is a one-net wrapper.
 
 use crate::result::McResult;
+use crate::trial::run_trials;
 use nsigma_cells::Cell;
-use nsigma_interconnect::elmore::moments_all;
 use nsigma_interconnect::metrics::two_pole_delay;
 use nsigma_interconnect::rctree::{NodeId, RcTree};
 use nsigma_interconnect::transient::{simulate_ramp, TransientConfig};
@@ -92,11 +98,382 @@ pub struct WireSample {
     pub c_eff: f64,
 }
 
+/// RC nets flattened once for the per-trial golden kernel.
+///
+/// Each slot holds one net's tree as parent-index, R and C arrays (node 0
+/// is the driver pin, parents precede children), its sink node indices,
+/// the nominal load-pin caps and golden scales in sink order, and the
+/// driver's nominal `drive_resistance`. A slot without sinks is unwired:
+/// the caller falls back to the driver's own output parasitic.
+///
+/// [`WirePlan::sample`] is the only implementation of the sampled-wire
+/// physics; [`sample_wire`], the path walk and the circuit trial walk all
+/// call it.
+#[derive(Debug, Clone, Default)]
+pub struct WirePlan {
+    /// Offsets into the node arrays, one per slot plus a trailing entry.
+    node_start: Vec<usize>,
+    /// Parent of each node, local to its net (0 for the root).
+    parent: Vec<u32>,
+    /// Nominal segment resistance into each node (Ω; 0 for the root).
+    res: Vec<f64>,
+    /// Nominal grounded capacitance at each node (F).
+    cap: Vec<f64>,
+    /// Offsets into the sink arrays, one per slot plus a trailing entry.
+    sink_start: Vec<usize>,
+    /// Local node index of each sink.
+    sink_node: Vec<u32>,
+    /// Nominal input cap of the load pin at each sink (F).
+    pin_cap: Vec<f64>,
+    /// Golden transient/two-pole scale of each sink.
+    scale: Vec<f64>,
+    /// Nominal driver resistance per slot (Ω), for the shielding factor.
+    rd_nom: Vec<f64>,
+}
+
+/// Per-worker buffers of the wire kernel, reused across nets and trials.
+#[derive(Debug, Clone, Default)]
+pub struct WireScratch {
+    res: Vec<f64>,
+    cap: Vec<f64>,
+    down: Vec<f64>,
+    m1: Vec<f64>,
+    m2: Vec<f64>,
+    delays: Vec<f64>,
+}
+
+impl WireScratch {
+    /// Per-sink delays (s) of the last [`WirePlan::sample`], unscaled, in
+    /// sink order.
+    pub fn delays(&self) -> &[f64] {
+        &self.delays
+    }
+
+    /// Grows every buffer to hold a net of `nodes` nodes and `sinks` sinks
+    /// (a no-op once the largest net has been seen).
+    fn fit(&mut self, nodes: usize, sinks: usize) {
+        if self.res.len() < nodes {
+            for buf in [
+                &mut self.res,
+                &mut self.cap,
+                &mut self.down,
+                &mut self.m1,
+                &mut self.m2,
+            ] {
+                buf.resize(nodes, 0.0);
+            }
+        }
+        self.delays.resize(sinks, 0.0);
+    }
+}
+
+/// The sampled totals of one net evaluation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NetSample {
+    /// Total sampled capacitance of the net, wire plus load pins (F).
+    pub total_cap: f64,
+    /// The shield-reduced effective load the driver's cell arc sees (F).
+    pub c_eff: f64,
+}
+
+impl WirePlan {
+    /// An empty plan.
+    pub fn new() -> Self {
+        Self {
+            node_start: vec![0],
+            sink_start: vec![0],
+            ..Self::default()
+        }
+    }
+
+    /// Appends an unwired slot and returns its index.
+    pub fn push_unwired(&mut self) -> usize {
+        self.node_start.push(self.parent.len());
+        self.sink_start.push(self.sink_node.len());
+        self.rd_nom.push(0.0);
+        self.rd_nom.len() - 1
+    }
+
+    /// Appends a net driven by `driver` into `loads` (one per sink, in sink
+    /// order), with per-sink golden `scales` (1 when `None`), and returns
+    /// its slot. A tree without sinks gives an unwired slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loads` (or `scales`) does not have one entry per sink.
+    pub fn push_net(
+        &mut self,
+        tech: &Technology,
+        tree: &RcTree,
+        driver: &Cell,
+        loads: &[&Cell],
+        scales: Option<&[f64]>,
+    ) -> usize {
+        let sinks = tree.sinks();
+        assert_eq!(loads.len(), sinks.len(), "one load cell per tree sink");
+        for id in tree.topo_order() {
+            self.parent
+                .push(tree.parent(id).map_or(0, |p| p.index() as u32));
+            self.res.push(tree.res(id));
+            self.cap.push(tree.cap(id));
+        }
+        self.sink_node
+            .extend(sinks.iter().map(|s| s.index() as u32));
+        self.pin_cap.extend(loads.iter().map(|c| c.input_cap(tech)));
+        match scales {
+            Some(sc) => {
+                assert_eq!(sc.len(), sinks.len(), "one golden scale per tree sink");
+                self.scale.extend_from_slice(sc);
+            }
+            None => self.scale.extend(std::iter::repeat_n(1.0, sinks.len())),
+        }
+        self.node_start.push(self.parent.len());
+        self.sink_start.push(self.sink_node.len());
+        self.rd_nom.push(driver.drive_resistance(tech));
+        self.rd_nom.len() - 1
+    }
+
+    /// True if the slot carries a net with at least one sink.
+    pub fn is_wired(&self, slot: usize) -> bool {
+        self.sink_start[slot + 1] > self.sink_start[slot]
+    }
+
+    /// Golden per-sink scales of a slot, in sink order.
+    pub fn scales(&self, slot: usize) -> &[f64] {
+        &self.scale[self.sink_start[slot]..self.sink_start[slot + 1]]
+    }
+
+    /// A scratch sized for the largest net in the plan.
+    pub fn scratch(&self) -> WireScratch {
+        let nodes = self.node_start.windows(2).map(|w| w[1] - w[0]);
+        let sinks = self.sink_start.windows(2).map(|w| w[1] - w[0]);
+        let mut scratch = WireScratch::default();
+        scratch.fit(nodes.max().unwrap_or(0), sinks.max().unwrap_or(0));
+        scratch
+    }
+
+    /// One sampled two-pole evaluation of a wired slot: draws the R, C and
+    /// load-pin factors, then computes the driver-folded moments in place.
+    /// The per-sink delays land in [`WireScratch::delays`].
+    ///
+    /// `driver` is the net's driver cell and `driver_dvth_local` its local
+    /// threshold sample — the *same* one its cell arc uses; that shared
+    /// sample is the cell/wire interaction the paper models. Draw order:
+    /// one R factor per node, one C factor per node, one pin factor per
+    /// sink. Allocation-free once `scratch` has seen the largest net.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a slot from [`WirePlan::push_unwired`], which has no nodes;
+    /// callers check [`WirePlan::is_wired`] first.
+    #[allow(clippy::too_many_arguments)]
+    pub fn sample<R: Rng + ?Sized>(
+        &self,
+        slot: usize,
+        tech: &Technology,
+        variation: &VariationModel,
+        driver: &Cell,
+        global: &GlobalSample,
+        driver_dvth_local: f64,
+        rng: &mut R,
+        scratch: &mut WireScratch,
+    ) -> NetSample {
+        self.evaluate(
+            slot,
+            tech,
+            variation,
+            driver,
+            global,
+            driver_dvth_local,
+            rng,
+            scratch,
+            0.0,
+            WireGoldenMode::TwoPole,
+        )
+    }
+
+    /// [`WirePlan::sample`] in either golden mode (`input_slew` only
+    /// matters to the transient).
+    #[allow(clippy::too_many_arguments)]
+    fn evaluate<R: Rng + ?Sized>(
+        &self,
+        slot: usize,
+        tech: &Technology,
+        variation: &VariationModel,
+        driver: &Cell,
+        global: &GlobalSample,
+        driver_dvth_local: f64,
+        rng: &mut R,
+        scratch: &mut WireScratch,
+        input_slew: f64,
+        mode: WireGoldenMode,
+    ) -> NetSample {
+        let drawn = self.draw(
+            slot,
+            tech,
+            variation,
+            driver,
+            global,
+            driver_dvth_local,
+            rng,
+            scratch,
+        );
+        match mode {
+            WireGoldenMode::TwoPole => self.two_pole(slot, &drawn, scratch),
+            WireGoldenMode::Transient => self.transient(slot, tech, &drawn, input_slew, scratch),
+        }
+        drawn.totals
+    }
+
+    /// Sampled driver resistance, R/C and pin caps into `scratch.res` /
+    /// `scratch.cap`, and the totals the decomposition needs.
+    #[allow(clippy::too_many_arguments)]
+    fn draw<R: Rng + ?Sized>(
+        &self,
+        slot: usize,
+        tech: &Technology,
+        variation: &VariationModel,
+        driver: &Cell,
+        global: &GlobalSample,
+        driver_dvth_local: f64,
+        rng: &mut R,
+        scratch: &mut WireScratch,
+    ) -> Drawn {
+        let (n0, n1) = (self.node_start[slot], self.node_start[slot + 1]);
+        let (s0, s1) = (self.sink_start[slot], self.sink_start[slot + 1]);
+        let n = n1 - n0;
+        scratch.fit(n, s1 - s0);
+
+        // Driver resistance from the sampled on-current.
+        let stack = driver.worst_stack();
+        let i_on = stack.drive_current(tech, global.dvth + driver_dvth_local, global.mobility);
+        let rd = tech.vdd / (2.0 * i_on);
+
+        // Sampled parasitics: global corner × per-segment local jitter.
+        let res = &mut scratch.res[..n];
+        for (r, &nominal) in res.iter_mut().zip(&self.res[n0..n1]) {
+            *r = nominal * (global.wire_res_scale * variation.sample_wire_local(rng));
+        }
+        let cap = &mut scratch.cap[..n];
+        for (c, &nominal) in cap.iter_mut().zip(&self.cap[n0..n1]) {
+            *c = nominal * (global.wire_cap_scale * variation.sample_wire_local(rng));
+        }
+        // Sampled load pin caps at the sinks.
+        for (&node, &pin) in self.sink_node[s0..s1].iter().zip(&self.pin_cap[s0..s1]) {
+            cap[node as usize] += pin * variation.sample_wire_local(rng);
+        }
+
+        let total_cap: f64 = cap.iter().sum();
+        let total_res: f64 = res.iter().sum();
+        // The subtracted baseline is the SAME driver resistance charging the
+        // *effective* (shield-reduced, at nominal R_drv) lumped capacitance —
+        // the delay-calculator picture of the cell driving its library load.
+        // The sampled R_drv deviations appear in BOTH terms; their imperfect
+        // cancellation across the real tree vs the lumped load is the
+        // cell/wire interaction variability of the paper's eq. (7).
+        let c_eff = shielded_cap(total_cap, total_res, self.rd_nom[slot]);
+        Drawn {
+            rd,
+            tau: rd * c_eff,
+            totals: NetSample { total_cap, c_eff },
+        }
+    }
+
+    /// Step-response source→sink two-pole delay minus the lumped step 50 %
+    /// (ln2·τ) at every sink, from the sampled values in `scratch`.
+    ///
+    /// The moments are those of the tree with `rd` folded in as node 0's
+    /// edge from an ideal source: `m1(i) = m1(parent) + R_i · C_down(i)`
+    /// and the same recursion for m2 with node weights `C_k · m1(k)`.
+    fn two_pole(&self, slot: usize, drawn: &Drawn, scratch: &mut WireScratch) {
+        let (n0, n1) = (self.node_start[slot], self.node_start[slot + 1]);
+        let (s0, s1) = (self.sink_start[slot], self.sink_start[slot + 1]);
+        let n = n1 - n0;
+        let parent = &self.parent[n0..n1];
+        let res = &scratch.res[..n];
+        let cap = &scratch.cap[..n];
+        let down = &mut scratch.down[..n];
+        let m1 = &mut scratch.m1[..n];
+        let m2 = &mut scratch.m2[..n];
+
+        // m1: downstream caps leaves-first, then root-to-leaf accumulation.
+        down.copy_from_slice(cap);
+        for i in (1..n).rev() {
+            down[parent[i] as usize] += down[i];
+        }
+        m1[0] = drawn.rd * down[0];
+        for i in 1..n {
+            m1[i] = m1[parent[i] as usize] + res[i] * down[i];
+        }
+        // m2: the same two passes with node weights C_k · m1(k).
+        for i in 0..n {
+            down[i] = cap[i] * m1[i];
+        }
+        for i in (1..n).rev() {
+            down[parent[i] as usize] += down[i];
+        }
+        m2[0] = drawn.rd * down[0];
+        for i in 1..n {
+            m2[i] = m2[parent[i] as usize] + res[i] * down[i];
+        }
+
+        let lumped = core::f64::consts::LN_2 * drawn.tau;
+        for (d, &node) in scratch.delays.iter_mut().zip(&self.sink_node[s0..s1]) {
+            let k = node as usize;
+            *d = two_pole_delay(m1[k].max(1e-18), m2[k].max(1e-33)) - lumped;
+        }
+    }
+
+    /// Transient-mode delays: rebuilds the sampled tree from `scratch` and
+    /// runs the ramp-driven backward-Euler reference.
+    fn transient(
+        &self,
+        slot: usize,
+        tech: &Technology,
+        drawn: &Drawn,
+        input_slew: f64,
+        scratch: &mut WireScratch,
+    ) {
+        let (n0, n1) = (self.node_start[slot], self.node_start[slot + 1]);
+        let (s0, s1) = (self.sink_start[slot], self.sink_start[slot + 1]);
+        let n = n1 - n0;
+        let mut sampled = RcTree::new(scratch.cap[0]);
+        let mut ids = Vec::with_capacity(n);
+        ids.push(RcTree::root());
+        for i in 1..n {
+            let parent = ids[self.parent[n0 + i] as usize];
+            ids.push(sampled.add_node(parent, scratch.res[i], scratch.cap[i]));
+        }
+        for &node in &self.sink_node[s0..s1] {
+            sampled.mark_sink(ids[node as usize]);
+        }
+        // Ramp-driven: sink 50 % crossing minus the lumped-load 50 %
+        // crossing under the same ramp.
+        let lumped = lumped_t50_ramp(drawn.tau, input_slew);
+        let cfg = TransientConfig::auto(&sampled, tech.vdd, input_slew, drawn.rd);
+        let res = simulate_ramp(&sampled, &cfg);
+        for (d, &c) in scratch.delays.iter_mut().zip(&res.sink_cross) {
+            *d = c - lumped;
+        }
+    }
+}
+
+/// What [`WirePlan::draw`] hands the delay evaluation.
+struct Drawn {
+    /// Sampled driver resistance (Ω).
+    rd: f64,
+    /// Lumped baseline time constant `rd · c_eff` (s).
+    tau: f64,
+    totals: NetSample,
+}
+
 /// One sampled evaluation of a wire.
 ///
 /// The driver's threshold sample should be the *same* one used for its cell
 /// delay in path simulation — that shared sample is the cell/wire
-/// interaction the paper models.
+/// interaction the paper models. This flattens `tree` into a one-slot
+/// [`WirePlan`] and runs its kernel; per-trial loops should build the plan
+/// once and call [`WirePlan::sample`] instead.
 #[allow(clippy::too_many_arguments)]
 pub fn sample_wire<R: Rng + ?Sized>(
     tech: &Technology,
@@ -110,70 +487,25 @@ pub fn sample_wire<R: Rng + ?Sized>(
     rng: &mut R,
     mode: WireGoldenMode,
 ) -> WireSample {
-    assert_eq!(
-        loads.len(),
-        tree.sinks().len(),
-        "one load cell per tree sink"
+    let mut plan = WirePlan::new();
+    plan.push_net(tech, tree, driver, loads, None);
+    let mut scratch = plan.scratch();
+    let totals = plan.evaluate(
+        0,
+        tech,
+        variation,
+        driver,
+        global,
+        driver_dvth_local,
+        rng,
+        &mut scratch,
+        input_slew,
+        mode,
     );
-
-    // Driver resistance from the sampled on-current.
-    let stack = driver.worst_stack();
-    let i_on = stack.drive_current(tech, global.dvth + driver_dvth_local, global.mobility);
-    let rd = tech.vdd / (2.0 * i_on);
-
-    // Sampled parasitics: global corner × per-segment local jitter.
-    // (Factors are pre-drawn so both closures stay borrow-free.)
-    let res_factors: Vec<f64> = (0..tree.len())
-        .map(|_| global.wire_res_scale * variation.sample_wire_local(rng))
-        .collect();
-    let cap_factors: Vec<f64> = (0..tree.len())
-        .map(|_| global.wire_cap_scale * variation.sample_wire_local(rng))
-        .collect();
-    let mut sampled = tree.scaled_with(
-        |id, r| r * res_factors[id.index()],
-        |id, c| c * cap_factors[id.index()],
-    );
-    // Sampled load pin caps at the sinks.
-    for (k, &sink) in tree.sinks().iter().enumerate() {
-        let pin = loads[k].input_cap(tech) * variation.sample_wire_local(rng);
-        sampled.add_cap(sink, pin);
-    }
-
-    let total_cap = sampled.total_cap();
-    // The subtracted baseline is the SAME driver resistance charging the
-    // *effective* (shield-reduced, at nominal R_drv) lumped capacitance —
-    // the delay-calculator picture of the cell driving its library load.
-    // The sampled R_drv deviations appear in BOTH terms; their imperfect
-    // cancellation across the real tree vs the lumped load is the
-    // cell/wire interaction variability of the paper's eq. (7).
-    let c_eff = effective_cap(tech, driver, &sampled, total_cap);
-    let tau = rd * c_eff;
-    let delays = match mode {
-        WireGoldenMode::Transient => {
-            // Ramp-driven: sink 50 % crossing minus the lumped-load 50 %
-            // crossing under the same ramp.
-            let lumped = lumped_t50_ramp(tau, input_slew);
-            let cfg = TransientConfig::auto(&sampled, tech.vdd, input_slew, rd);
-            let res = simulate_ramp(&sampled, &cfg);
-            res.sink_cross.iter().map(|&c| c - lumped).collect()
-        }
-        WireGoldenMode::TwoPole => {
-            // Step-response source→sink minus the lumped step 50 % (ln2·τ).
-            let lumped = core::f64::consts::LN_2 * tau;
-            let (folded, _root_img, sink_imgs) = fold_driver(&sampled, rd);
-            let (m1, m2) = moments_all(&folded);
-            sink_imgs
-                .iter()
-                .map(|s| {
-                    two_pole_delay(m1[s.index()].max(1e-18), m2[s.index()].max(1e-33)) - lumped
-                })
-                .collect()
-        }
-    };
     WireSample {
-        delays,
-        total_cap,
-        c_eff,
+        delays: scratch.delays,
+        total_cap: totals.total_cap,
+        c_eff: totals.c_eff,
     }
 }
 
@@ -215,8 +547,12 @@ pub fn lumped_t50_ramp(tau: f64, slew: f64) -> f64 {
 /// for strong wires behind weak drivers, up to 50 % for resistive wires
 /// behind strong drivers.
 pub fn effective_cap(tech: &Technology, driver: &Cell, tree: &RcTree, total_cap: f64) -> f64 {
-    let rd_nom = driver.drive_resistance(tech);
-    let rw = tree.total_res();
+    shielded_cap(total_cap, tree.total_res(), driver.drive_resistance(tech))
+}
+
+/// [`effective_cap`] from the net's total wire resistance `rw` and the
+/// driver's nominal resistance `rd_nom`.
+fn shielded_cap(total_cap: f64, rw: f64, rd_nom: f64) -> f64 {
     let shield = rw / (rw + 3.0 * rd_nom);
     total_cap * (1.0 - 0.5 * shield)
 }
@@ -260,43 +596,34 @@ pub fn simulate_wire_mc(
     let n_sinks = tree.sinks().len();
     let driver_sigma = driver.worst_stack().effective_local_sigma(tech);
 
-    // Per-trial tagged seeds keep the result independent of threading.
-    let n_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(cfg.samples);
-    let mut flat = vec![0.0f64; cfg.samples * n_sinks];
+    let mut plan = WirePlan::new();
+    plan.push_net(tech, tree, driver, loads, None);
 
-    crossbeam::scope(|scope| {
-        let chunk_len = cfg.samples.div_ceil(n_threads) * n_sinks;
-        for (t, chunk) in flat.chunks_mut(chunk_len).enumerate() {
-            let seeds = &seeds;
-            let variation = &variation;
-            let base = t * cfg.samples.div_ceil(n_threads);
-            scope.spawn(move |_| {
-                for (i, out) in chunk.chunks_mut(n_sinks).enumerate() {
-                    let trial = base + i;
-                    let mut rng = SmallRng::seed_from_u64(seeds.tagged_seed(trial as u64));
-                    let global = variation.sample_global(&mut rng);
-                    let dloc = variation.sample_local_vth(&mut rng, driver_sigma);
-                    let sample = sample_wire(
-                        tech,
-                        variation,
-                        tree,
-                        driver,
-                        loads,
-                        cfg.input_slew,
-                        &global,
-                        dloc,
-                        &mut rng,
-                        cfg.mode,
-                    );
-                    out.copy_from_slice(&sample.delays);
-                }
-            });
-        }
-    })
-    .expect("wire MC scope failed");
+    // Per-trial tagged seeds keep the result independent of threading.
+    let mut flat = vec![0.0f64; cfg.samples * n_sinks];
+    run_trials(
+        &mut flat,
+        n_sinks,
+        || plan.scratch(),
+        |trial, scratch, out| {
+            let mut rng = SmallRng::seed_from_u64(seeds.tagged_seed(trial as u64));
+            let global = variation.sample_global(&mut rng);
+            let dloc = variation.sample_local_vth(&mut rng, driver_sigma);
+            plan.evaluate(
+                0,
+                tech,
+                &variation,
+                driver,
+                &global,
+                dloc,
+                &mut rng,
+                scratch,
+                cfg.input_slew,
+                cfg.mode,
+            );
+            out.copy_from_slice(scratch.delays());
+        },
+    );
 
     let elapsed = start.elapsed();
     (0..n_sinks)
@@ -311,7 +638,157 @@ pub fn simulate_wire_mc(
 mod tests {
     use super::*;
     use nsigma_cells::cell::CellKind;
-    use nsigma_interconnect::elmore::elmore_delay;
+    use nsigma_interconnect::elmore::{elmore_delay, moments_all};
+    use nsigma_interconnect::generator::{generate_net, random_net, NetGenConfig};
+    use proptest::prelude::*;
+
+    /// The tree-based evaluation the flat kernel replaced: clone-and-scale
+    /// the tree, fold the driver in as a new root edge, and take the moments
+    /// of the folded tree. Kept as the bit-for-bit oracle of [`WirePlan`].
+    #[allow(clippy::too_many_arguments)]
+    fn oracle_sample_wire<R: Rng + ?Sized>(
+        tech: &Technology,
+        variation: &VariationModel,
+        tree: &RcTree,
+        driver: &Cell,
+        loads: &[&Cell],
+        input_slew: f64,
+        global: &GlobalSample,
+        driver_dvth_local: f64,
+        rng: &mut R,
+        mode: WireGoldenMode,
+    ) -> WireSample {
+        let stack = driver.worst_stack();
+        let i_on = stack.drive_current(tech, global.dvth + driver_dvth_local, global.mobility);
+        let rd = tech.vdd / (2.0 * i_on);
+        let res_factors: Vec<f64> = (0..tree.len())
+            .map(|_| global.wire_res_scale * variation.sample_wire_local(rng))
+            .collect();
+        let cap_factors: Vec<f64> = (0..tree.len())
+            .map(|_| global.wire_cap_scale * variation.sample_wire_local(rng))
+            .collect();
+        let mut sampled = tree.scaled_with(
+            |id, r| r * res_factors[id.index()],
+            |id, c| c * cap_factors[id.index()],
+        );
+        for (k, &sink) in tree.sinks().iter().enumerate() {
+            let pin = loads[k].input_cap(tech) * variation.sample_wire_local(rng);
+            sampled.add_cap(sink, pin);
+        }
+        let total_cap = sampled.total_cap();
+        let c_eff = effective_cap(tech, driver, &sampled, total_cap);
+        let tau = rd * c_eff;
+        let delays = match mode {
+            WireGoldenMode::Transient => {
+                let lumped = lumped_t50_ramp(tau, input_slew);
+                let cfg = TransientConfig::auto(&sampled, tech.vdd, input_slew, rd);
+                let res = simulate_ramp(&sampled, &cfg);
+                res.sink_cross.iter().map(|&c| c - lumped).collect()
+            }
+            WireGoldenMode::TwoPole => {
+                let lumped = core::f64::consts::LN_2 * tau;
+                let (folded, _root_img, sink_imgs) = fold_driver(&sampled, rd);
+                let (m1, m2) = moments_all(&folded);
+                sink_imgs
+                    .iter()
+                    .map(|s| {
+                        two_pole_delay(m1[s.index()].max(1e-18), m2[s.index()].max(1e-33)) - lumped
+                    })
+                    .collect()
+            }
+        };
+        WireSample {
+            delays,
+            total_cap,
+            c_eff,
+        }
+    }
+
+    fn sample_bits(s: &WireSample) -> (Vec<u64>, u64, u64) {
+        (
+            s.delays.iter().map(|d| d.to_bits()).collect(),
+            s.total_cap.to_bits(),
+            s.c_eff.to_bits(),
+        )
+    }
+
+    /// Runs the kernel and the oracle on the same draws and asserts equal
+    /// bits, and that both consumed the same number of draws.
+    fn assert_kernel_matches_oracle(tree: &RcTree, seed: u64, mode: WireGoldenMode) {
+        let tech = Technology::synthetic_28nm();
+        let variation = VariationModel::new(&tech);
+        let kinds = [
+            CellKind::Inv,
+            CellKind::Nand2,
+            CellKind::Nor2,
+            CellKind::Aoi21,
+        ];
+        let cells: Vec<Cell> = (0..tree.sinks().len())
+            .map(|k| Cell::new(kinds[k % kinds.len()], 1 << (k % 4)))
+            .collect();
+        let loads: Vec<&Cell> = cells.iter().collect();
+        let driver = Cell::new(kinds[seed as usize % kinds.len()], 1 << (seed % 4));
+        let mut rng_a = SmallRng::seed_from_u64(seed);
+        let global = variation.sample_global(&mut rng_a);
+        let dloc = variation.sample_local_vth(&mut rng_a, 0.02);
+        let mut rng_b = rng_a.clone();
+        let slew = 10e-12;
+        let ours = sample_wire(
+            &tech, &variation, tree, &driver, &loads, slew, &global, dloc, &mut rng_a, mode,
+        );
+        let oracle = oracle_sample_wire(
+            &tech, &variation, tree, &driver, &loads, slew, &global, dloc, &mut rng_b, mode,
+        );
+        assert_eq!(
+            sample_bits(&ours),
+            sample_bits(&oracle),
+            "{mode:?} seed {seed}"
+        );
+        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "draw count differs");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The flat two-pole kernel is bit-identical to the tree-based
+        /// oracle on generated nets with 1–8 sinks.
+        #[test]
+        fn flat_kernel_matches_tree_oracle(sinks in 1usize..=8, seed in 0u64..1 << 20) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let cfg = NetGenConfig::default_28nm().with_fanout(sinks);
+            assert_kernel_matches_oracle(&generate_net(&mut rng, &cfg), seed, WireGoldenMode::TwoPole);
+            let random = random_net(&mut rng, sinks);
+            assert_kernel_matches_oracle(&random, seed, WireGoldenMode::TwoPole);
+        }
+    }
+
+    #[test]
+    fn flat_kernel_matches_tree_oracle_on_edge_trees() {
+        // A single-node tree whose root is its only sink.
+        let mut single = RcTree::new(0.4e-15);
+        single.mark_sink(RcTree::root());
+        // A sink at the root beside a sink down a branch.
+        let mut mixed = RcTree::new(0.1e-15);
+        let a = mixed.add_node(RcTree::root(), 300.0, 0.7e-15);
+        mixed.mark_sink(a);
+        mixed.mark_sink(RcTree::root());
+        for (i, tree) in [single, mixed, test_tree()].iter().enumerate() {
+            for seed in 0..16 {
+                assert_kernel_matches_oracle(tree, seed * 7 + i as u64, WireGoldenMode::TwoPole);
+            }
+        }
+    }
+
+    #[test]
+    fn transient_mode_matches_tree_oracle() {
+        let mut rng = SmallRng::seed_from_u64(3);
+        for sinks in [1, 3] {
+            let tree = generate_net(&mut rng, &NetGenConfig::default_28nm().with_fanout(sinks));
+            for seed in 0..3 {
+                assert_kernel_matches_oracle(&tree, seed, WireGoldenMode::Transient);
+            }
+        }
+    }
 
     fn test_tree() -> RcTree {
         let mut t = RcTree::new(0.05e-15);

@@ -1,28 +1,27 @@
 //! The sampling core: parallel, chunked, confidence-bounded graph-level
 //! Monte Carlo over a [`CompiledDesign`].
 //!
-//! Each trial replays the golden per-stage physics of
-//! `nsigma_mc::path_sim::simulate_circuit_mc` — one shared die corner,
-//! per-gate local mismatch, the driver's threshold sample reused by its
-//! output wire — but walks the compiled CSR adjacency with reusable
-//! scratch arenas instead of re-deriving loads and parasitics per trial.
-//! Trial `t` always draws from counter-based stream `t`
-//! ([`CounterRng`]), so the result vector is bit-identical at any thread
-//! count or chunk schedule.
+//! A run builds one [`CircuitPlan`] — the golden trial kernel of
+//! `nsigma_mc::trial`, the same one `simulate_circuit_mc` runs — over the
+//! compiled CSR adjacency: per-gate cells and mismatch sigmas, and every
+//! gate's output net flattened once into parent-index/R/C arrays. A trial
+//! draws the (possibly mean-shifted) die corner, then one pull-down and
+//! one pull-up threshold deviate per gate, then walks the gates in
+//! topological order; each wired net is sampled by the in-place two-pole
+//! kernel with the driver's own threshold sample folded in. Each worker
+//! owns a [`TrialScratch`], so a trial makes no heap allocation.
+//!
+//! Trial `t` always draws from counter-based stream `t` ([`CounterRng`]),
+//! so the result vector is bit-identical at any thread count or chunk
+//! schedule.
 
 use crate::config::YieldConfig;
 use crate::importance::{likelihood_ratio, WeightTally};
 use crate::report::{CurvePoint, YieldEstimate, YieldReport};
 use crate::stopping::Z95;
-use nsigma_cells::timing::evaluate_arc_pair;
-use nsigma_cells::Cell;
 use nsigma_core::{CompiledDesign, QueryError, QueryScratch, YieldCurve};
 use nsigma_core::{MergeRule, NsigmaTimer};
-use nsigma_interconnect::rctree::RcTree;
-use nsigma_mc::wire_sim::{sample_wire, WireGoldenMode};
-use nsigma_mc::Design;
-use nsigma_netlist::topo::NetlistCsr;
-use nsigma_process::{Technology, VariationModel};
+use nsigma_mc::{CircuitPlan, TrialScratch};
 use nsigma_stats::moments::Moments;
 use nsigma_stats::quantile::{QuantileSet, SigmaLevel};
 use nsigma_stats::rng::CounterRng;
@@ -59,202 +58,20 @@ impl YieldRun {
     }
 }
 
-/// Per-gate and per-net model data hoisted out of the per-trial loop:
-/// everything [`sample_once`] needs, as dense parallel arrays.
-struct Prep<'a> {
-    tech: &'a Technology,
-    variation: VariationModel,
-    input_slew: f64,
-    shift: f64,
-    /// Library cell per gate.
-    cells: Vec<&'a Cell>,
-    /// Pull-down / pull-up effective local sigmas per gate.
-    sigma_pd: Vec<f64>,
-    sigma_pu: Vec<f64>,
-    /// Output load when the gate's net has no parasitic tree.
-    fallback_cap: Vec<f64>,
-    /// Parasitic tree per net (`None` for wireless / PI nets).
-    trees: Vec<Option<&'a RcTree>>,
-    /// CSR offsets into `loads` / `scales`, length `nets + 1`.
-    loads_start: Vec<u32>,
-    /// Load cells of every wired net, flattened in sink order.
-    loads: Vec<&'a Cell>,
-    /// Golden per-sink delay scale, parallel to `loads`.
-    scales: Vec<f64>,
-    /// Gate-driven primary-output nets (PI-fed POs contribute 0).
-    po_nets: Vec<u32>,
-}
-
-impl<'a> Prep<'a> {
-    fn build(design: &'a Design, cfg: &YieldConfig) -> Self {
-        let tech = &design.tech;
-        let n = design.netlist.num_gates();
-        let nets = design.netlist.num_nets();
-
-        let mut cells = Vec::with_capacity(n);
-        let mut sigma_pd = Vec::with_capacity(n);
-        let mut sigma_pu = Vec::with_capacity(n);
-        let mut fallback_cap = Vec::with_capacity(n);
-        for gate in design.netlist.gates() {
-            let cell = design.lib.cell(gate.cell);
-            let (pd, pu) = cell.arc_stacks();
-            cells.push(cell);
-            sigma_pd.push(pd.effective_local_sigma(tech));
-            sigma_pu.push(pu.effective_local_sigma(tech));
-            fallback_cap.push(cell.output_parasitic(tech));
-        }
-
-        let mut trees = Vec::with_capacity(nets);
-        let mut loads_start = Vec::with_capacity(nets + 1);
-        let mut loads = Vec::new();
-        let mut scales = Vec::new();
-        loads_start.push(0u32);
-        for idx in 0..nets {
-            let net = nsigma_netlist::NetId::from_index(idx);
-            let tree = design.parasitic(net).filter(|t| !t.sinks().is_empty());
-            if let Some(tree) = tree {
-                let net_loads = design.load_cells(net);
-                match design.wire_golden_scale(net) {
-                    Some(sc) => scales.extend_from_slice(sc),
-                    None => scales.extend(std::iter::repeat_n(1.0, tree.sinks().len())),
-                }
-                loads.extend(net_loads);
-            }
-            trees.push(tree);
-            loads_start.push(scales.len() as u32);
-        }
-
-        let po_nets = design
-            .netlist
-            .outputs()
-            .iter()
-            .filter(|&&o| {
-                matches!(
-                    design.netlist.net(o).driver,
-                    nsigma_netlist::NetDriver::Gate(_)
-                )
-            })
-            .map(|o| o.index() as u32)
-            .collect();
-
-        Self {
-            tech,
-            variation: VariationModel::new(tech),
-            input_slew: cfg.input_slew,
-            shift: cfg.shift(),
-            cells,
-            sigma_pd,
-            sigma_pu,
-            fallback_cap,
-            trees,
-            loads_start,
-            loads,
-            scales,
-            po_nets,
-        }
-    }
-}
-
-/// Per-worker arenas, reused across every trial the worker runs.
-#[derive(Default)]
-struct Scratch {
-    arrival: Vec<f64>,
-    slew: Vec<f64>,
-    dloc: Vec<f64>,
-    dloc_rise: Vec<f64>,
-}
-
-/// One trial: draws the (possibly shifted) die corner and all local
-/// mismatch, propagates arrivals over the CSR order, and returns
-/// `(worst PO delay, importance weight)`.
+/// One trial: draws the (possibly shifted) die corner, runs the shared
+/// golden circuit walk under it, and returns `(worst PO delay, importance
+/// weight)`.
 fn sample_once<R: Rng + ?Sized>(
-    prep: &Prep<'_>,
-    csr: &NetlistCsr,
-    scratch: &mut Scratch,
+    plan: &CircuitPlan<'_>,
+    shift: f64,
+    scratch: &mut TrialScratch,
     rng: &mut R,
 ) -> (f64, f64) {
-    let (global, z) = prep.variation.sample_global_shifted(rng, prep.shift);
-    let w = likelihood_ratio(z, prep.shift);
-
-    let gates = prep.cells.len();
-    scratch.dloc.clear();
-    scratch.dloc_rise.clear();
-    for gi in 0..gates {
-        scratch
-            .dloc
-            .push(prep.variation.sample_local_vth(rng, prep.sigma_pd[gi]));
-        scratch
-            .dloc_rise
-            .push(prep.variation.sample_local_vth(rng, prep.sigma_pu[gi]));
-    }
-
-    let nets = prep.trees.len();
-    scratch.arrival.clear();
-    scratch.arrival.resize(nets, 0.0);
-    scratch.slew.clear();
-    scratch.slew.resize(nets, prep.input_slew);
-
-    for &g in &csr.order {
-        let gi = g.index();
-        let net = csr.gate_output[gi] as usize;
-        let cell = prep.cells[gi];
-
-        let mut in_arrival = 0.0f64;
-        let mut in_slew = prep.input_slew;
-        for &i in csr.fanins(gi) {
-            let a = scratch.arrival[i as usize];
-            if a > in_arrival {
-                in_arrival = a;
-                in_slew = scratch.slew[i as usize];
-            }
-        }
-
-        let (sink_lag, load_cap) = match prep.trees[net] {
-            Some(tree) => {
-                let s0 = prep.loads_start[net] as usize;
-                let s1 = prep.loads_start[net + 1] as usize;
-                let ws = sample_wire(
-                    prep.tech,
-                    &prep.variation,
-                    tree,
-                    cell,
-                    &prep.loads[s0..s1],
-                    in_slew,
-                    &global,
-                    scratch.dloc[gi],
-                    rng,
-                    WireGoldenMode::TwoPole,
-                );
-                let lag = ws
-                    .delays
-                    .iter()
-                    .zip(&prep.scales[s0..s1])
-                    .map(|(d, s)| d * s)
-                    .fold(0.0f64, f64::max);
-                (lag, ws.c_eff)
-            }
-            None => (0.0, prep.fallback_cap[gi]),
-        };
-
-        let arc = evaluate_arc_pair(
-            prep.tech,
-            cell,
-            in_slew,
-            load_cap,
-            global.dvth + scratch.dloc[gi],
-            global.dvth + scratch.dloc_rise[gi],
-            global.mobility,
-        );
-        scratch.arrival[net] = in_arrival + arc.delay + sink_lag;
-        scratch.slew[net] = (arc.output_slew + 2.0 * sink_lag).max(0.0);
-    }
-
-    let delay = prep
-        .po_nets
-        .iter()
-        .map(|&o| scratch.arrival[o as usize])
-        .fold(0.0f64, f64::max);
-    (delay, w)
+    let (global, z) = plan.variation().sample_global_shifted(rng, shift);
+    (
+        plan.trial(&global, scratch, rng),
+        likelihood_ratio(z, shift),
+    )
 }
 
 /// Runs the yield engine against a compiled design.
@@ -296,10 +113,10 @@ pub fn run_yield(
         cfg.threads
     };
 
-    let prep = Prep::build(design, cfg);
-    let csr = compiled.csr();
-    let weighted = prep.shift > 0.0;
-    let mut scratches: Vec<Scratch> = (0..threads).map(|_| Scratch::default()).collect();
+    let shift = cfg.shift();
+    let plan = CircuitPlan::new(design, compiled.csr(), cfg.input_slew);
+    let weighted = shift > 0.0;
+    let mut scratches: Vec<TrialScratch> = (0..threads).map(|_| plan.scratch()).collect();
 
     let start = Instant::now();
     let mut delays: Vec<f64> = Vec::with_capacity(cfg.chunk);
@@ -316,20 +133,31 @@ pub fn run_yield(
 
         let workers = threads.min(this_chunk);
         let per = this_chunk.div_ceil(workers);
-        let scope_result = crossbeam::scope(|scope| {
-            for (wi, (chunk, scratch)) in buf.chunks_mut(per).zip(scratches.iter_mut()).enumerate()
-            {
-                let prep = &prep;
-                scope.spawn(move |_| {
-                    for (i, out) in chunk.iter_mut().enumerate() {
-                        let trial = base + wi * per + i;
-                        let mut rng = CounterRng::new(cfg.seed, trial as u64);
-                        *out = sample_once(prep, csr, scratch, &mut rng);
-                    }
-                });
+        // Every handle is joined here, so a worker panic surfaces as a
+        // join error instead of re-panicking out of the scope.
+        let all_joined = std::thread::scope(|scope| {
+            let handles: Vec<_> = buf
+                .chunks_mut(per)
+                .zip(scratches.iter_mut())
+                .enumerate()
+                .map(|(wi, (chunk, scratch))| {
+                    let plan = &plan;
+                    scope.spawn(move || {
+                        for (i, out) in chunk.iter_mut().enumerate() {
+                            let trial = base + wi * per + i;
+                            let mut rng = CounterRng::new(cfg.seed, trial as u64);
+                            *out = sample_once(plan, shift, scratch, &mut rng);
+                        }
+                    })
+                })
+                .collect();
+            let mut ok = true;
+            for handle in handles {
+                ok &= handle.join().is_ok();
             }
+            ok
         });
-        if scope_result.is_err() {
+        if !all_joined {
             return Err(QueryError::Internal {
                 reason: "a yield sampling worker panicked".into(),
             });
@@ -373,7 +201,7 @@ pub fn run_yield(
         converged,
         samples: delays.len(),
         ess: tally.ess(),
-        importance_shift: prep.shift,
+        importance_shift: shift,
         mc_quantiles,
         moments: weighted_moments(&delays, &weights),
         curve,

@@ -6,16 +6,17 @@
 //!
 //! The analytic timer answers "what is the ±3σ delay?" per eq. 10; this
 //! crate answers the complementary sign-off question — "what fraction of
-//! dies meets a clock period T?" — by graph-level Monte Carlo over the
-//! same golden per-trial physics as [`nsigma_mc::path_sim`], and scores
+//! dies meets a clock period T?" — by graph-level Monte Carlo through the
+//! golden trial kernel of [`nsigma_mc::trial`], and scores
 //! the analytic quantiles against the statistical oracle with confidence
 //! intervals.
 //!
 //! Three mechanisms make that affordable:
 //!
 //! * **Parallel sampling over the compiled graph.** Each trial walks
-//!   [`nsigma_core::CompiledDesign`]'s CSR adjacency with per-worker
-//!   scratch arenas (arrival/slew/mismatch arrays reused across trials).
+//!   [`nsigma_core::CompiledDesign`]'s CSR adjacency with a per-worker
+//!   [`nsigma_mc::TrialScratch`], reused across trials, so trials do not
+//!   allocate.
 //!   Trial `t` draws from counter-based stream `t` of
 //!   [`nsigma_stats::rng::CounterRng`], so results are bit-identical at
 //!   any thread count or chunk schedule.

@@ -12,6 +12,9 @@ cargo test -q --offline --workspace
 # The session-vs-reference differential suite must pass in release too: the
 # bit-identity claims are about the optimized code the server actually runs.
 cargo test -q --offline --release -p nsigma --test compiled
+# The yield suite pins the golden kernel's trial bits; run it on the
+# optimized build too.
+cargo test -q --offline --release -p nsigma --test yield
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # Request paths must stay panic-free: no `.unwrap(` outside #[cfg(test)]
@@ -55,5 +58,18 @@ cmp -s "$yield_tmp/yield1.json" "$yield_tmp/yield2.json" || {
   echo "ci: yield output is not deterministic for a fixed seed" >&2
   exit 1
 }
+
+# Golden-kernel smoke: perfbench's golden_c432 workload replays yield_run
+# and simulate_path_mc trials call by call and compares their bits; its
+# result line (the last one) must report no failed check.
+golden_line=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload golden_c432 --seconds 1 --trace 0 | tail -n 1)
+case "$golden_line" in
+  *'"failed": 0,'*) ;;
+  *)
+    echo "ci: perfbench golden_c432 reported failed checks: $golden_line" >&2
+    exit 1
+    ;;
+esac
 
 echo "ci: all green"

@@ -8,6 +8,7 @@ use nsigma::cells::CellLibrary;
 use nsigma::core::sta::{NsigmaTimer, TimerConfig};
 use nsigma::core::{MergeRule, TimingSession};
 use nsigma::mc::design::Design;
+use nsigma::mc::path_sim::{find_critical_path, simulate_path_mc, PathMcConfig};
 use nsigma::netlist::generators::arith::ripple_adder;
 use nsigma::netlist::generators::random_dag::Iscas85;
 use nsigma::netlist::mapping::map_to_cells;
@@ -191,4 +192,70 @@ proptest! {
             is.estimate.value
         );
     }
+}
+
+/// `u64` bits of the first eight plain-MC c432 trials (seed [`SEED`], one
+/// thread). The per-trial delays do not depend on the timer, only on the
+/// design, the RNG streams and the golden kernel, so any change to the
+/// kernel's arithmetic or draw order shows here bit for bit.
+const C432_FIRST_TRIALS: [u64; 8] = [
+    0x3e1f_f8c6_3487_23f2,
+    0x3e21_80c7_ae7e_ea3e,
+    0x3e23_17cd_f533_2787,
+    0x3e23_f995_d410_14ea,
+    0x3e22_7c2e_3a0b_eeb1,
+    0x3e25_801b_3a88_c5a9,
+    0x3e22_067f_11a1_1c1f,
+    0x3e27_33a2_d038_d868,
+];
+
+/// `u64` bits of the first eight golden path-MC samples on c432's nominal
+/// critical path (seed [`SEED`]), pinned for the same reason.
+const C432_FIRST_PATH_TRIALS: [u64; 8] = [
+    0x3e25_5a07_c6fe_9888,
+    0x3e25_7fac_c6c0_c10b,
+    0x3e22_f214_147a_203b,
+    0x3e23_0876_9fba_3ac8,
+    0x3e22_06f4_d489_e1a6,
+    0x3e1f_1432_da61_e022,
+    0x3e20_c1cb_8d4b_adb0,
+    0x3e21_16ba_615c_1398,
+];
+
+#[test]
+fn c432_plain_trials_are_bit_pinned() {
+    let session = c432_session();
+    let run = session
+        .yield_run(&YieldConfig {
+            ci_half_width: 1e-12,
+            max_samples: C432_FIRST_TRIALS.len(),
+            chunk: C432_FIRST_TRIALS.len(),
+            threads: 1,
+            seed: SEED,
+            ..YieldConfig::default()
+        })
+        .expect("plain run");
+    let bits: Vec<u64> = run.delays().iter().map(|d| d.to_bits()).collect();
+    assert_eq!(bits, C432_FIRST_TRIALS, "yield_run trial delays moved");
+}
+
+#[test]
+fn c432_path_mc_samples_are_bit_pinned() {
+    let session = c432_session();
+    let design = session.design();
+    let path = find_critical_path(design).expect("c432 has a critical path");
+    let golden = simulate_path_mc(
+        design,
+        &path,
+        &PathMcConfig {
+            samples: C432_FIRST_PATH_TRIALS.len(),
+            seed: SEED,
+            input_slew: YieldConfig::default().input_slew,
+        },
+    );
+    let bits: Vec<u64> = golden.samples().iter().map(|d| d.to_bits()).collect();
+    assert_eq!(
+        bits, C432_FIRST_PATH_TRIALS,
+        "simulate_path_mc samples moved"
+    );
 }
