@@ -32,7 +32,6 @@
 //!   interned-id/CSR arrays with precomputed wire data, so queries run
 //!   allocation-free (see DESIGN.md, "Performance architecture");
 //! * [`report`] — sign-off-style text timing reports (k-worst paths);
-//! * [`liberty_bridge`] — build calibrations from parsed Liberty LVF tables;
 //! * [`coeff_store`] — the Fig. 5 coefficients file (text LUT), so analysis
 //!   can skip recharacterization.
 //!
@@ -74,7 +73,6 @@ pub mod cell_model;
 pub mod coeff_store;
 pub mod compiled;
 pub mod extended;
-pub mod liberty_bridge;
 pub mod reference;
 pub mod report;
 pub mod sdf;

@@ -400,7 +400,11 @@ impl NsigmaTimer {
         for shard in self.stage_cache.iter() {
             stats.hits += shard.hits.load(Ordering::Relaxed);
             stats.misses += shard.misses.load(Ordering::Relaxed);
-            stats.entries += shard.map.read().expect("stage cache poisoned").len() as u64;
+            stats.entries += shard
+                .map
+                .read()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .len() as u64;
         }
         stats
     }
@@ -520,5 +524,27 @@ mod tests {
         let timer = quick_timer(&lib);
         let s = format!("{timer:?}");
         assert!(s.contains("NsigmaTimer"));
+    }
+
+    #[test]
+    fn cache_stats_survive_a_poisoned_shard() {
+        let lib = small_lib();
+        let timer = quick_timer(&lib);
+        let (slew, load) = (20e-12, 2e-15);
+        let first = timer.stage_cell_quantiles_id(0, slew, load);
+        let shard = &timer.stage_cache[shard_index(&(0, slew.to_bits(), load.to_bits()))];
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _guard = shard.map.write().unwrap();
+                panic!("poison the shard");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(shard.map.is_poisoned());
+        let stats = timer.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 1));
+        // Lookups keep answering from the poisoned shard.
+        assert_eq!(timer.stage_cell_quantiles_id(0, slew, load), first);
+        assert_eq!(timer.cache_stats().hits, 1);
     }
 }

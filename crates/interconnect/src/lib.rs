@@ -12,9 +12,7 @@
 //!   Figs. 7/8/10), O(n) per step via tree elimination;
 //! * [`spef`] — SPEF-lite parasitic exchange text format;
 //! * [`generator`] — placement-statistics net generation (the IC Compiler
-//!   substitute);
-//! * [`mesh`] — non-tree RC networks via MNA moment solves (the "non-tree
-//!   net structures" of the paper's wire-estimation citation).
+//!   substitute).
 //!
 //! # Examples
 //!
@@ -32,7 +30,6 @@
 
 pub mod elmore;
 pub mod generator;
-pub mod mesh;
 pub mod metrics;
 pub mod rctree;
 pub mod spef;
@@ -40,7 +37,6 @@ pub mod transient;
 
 pub use elmore::{elmore_all, elmore_delay, moments_all};
 pub use generator::{generate_net, random_net, NetGenConfig};
-pub use mesh::RcMesh;
 pub use metrics::{d2m_delay, two_pole_delay};
 pub use rctree::{NodeId, RcTree};
 pub use spef::SpefNet;

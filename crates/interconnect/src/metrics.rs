@@ -32,46 +32,191 @@ pub fn d2m_delay(m1: f64, m2: f64) -> f64 {
 /// single-pole answer `ln2·m1` when the fitted poles would be complex
 /// (`m2 < ¾·m1²`) or degenerate.
 ///
+/// The bisection only evaluates the step response where its outcome is
+/// not yet proven: a Newton solve plus a rounding-error bound certify a
+/// window around the root, and every bisection point outside it takes the
+/// branch the bound proves. The `lo`/`hi`
+/// sequence, and so the result, is bit-identical to evaluating every step.
+///
 /// # Panics
 ///
 /// Panics if `m1 <= 0` or `m2 <= 0`.
 pub fn two_pole_delay(m1: f64, m2: f64) -> f64 {
     assert!(m1 > 0.0 && m2 > 0.0, "moments must be positive");
-    let prod = m1 * m1 - m2;
-    let disc = m1 * m1 - 4.0 * prod;
-    if prod <= 0.0 || disc < 0.0 {
-        // Complex or non-physical pole pair: single-pole fallback.
-        return core::f64::consts::LN_2 * m1;
+    match StepResponse::fit(m1, m2) {
+        Some(step) => step.crossing(m1, CertifiedWindow::find(&step, m1)),
+        None => core::f64::consts::LN_2 * m1,
     }
-    let sq = disc.sqrt();
-    let tau1 = 0.5 * (m1 + sq);
-    let tau2 = 0.5 * (m1 - sq);
-    if tau2 <= 0.0 || (tau1 - tau2) < 1e-18 * tau1 {
-        return core::f64::consts::LN_2 * m1;
-    }
-    // v(t) = 1 − (τ1·e^{−t/τ1} − τ2·e^{−t/τ2})/(τ1 − τ2); solve v(t) = 0.5.
-    let v = |t: f64| 1.0 - (tau1 * (-t / tau1).exp() - tau2 * (-t / tau2).exp()) / (tau1 - tau2);
-    let mut lo = 0.0;
-    let mut hi = 20.0 * m1;
-    for _ in 0..200 {
-        if v(hi) >= 0.5 {
-            break;
+}
+
+/// The fitted two-pole step response
+/// `v(t) = 1 − (τ1·e^{−t/τ1} − τ2·e^{−t/τ2})/(τ1 − τ2)`, strictly
+/// increasing from 0 to 1 for `τ1 > τ2 > 0`.
+struct StepResponse {
+    tau1: f64,
+    tau2: f64,
+    /// `τ1 − τ2` as computed once; every evaluation divides by this value.
+    spread: f64,
+}
+
+impl StepResponse {
+    /// The two real poles matching `(m1, m2)`, or `None` when they would be
+    /// complex, non-physical (`m2 ≥ m1²`) or degenerate.
+    fn fit(m1: f64, m2: f64) -> Option<Self> {
+        let prod = m1 * m1 - m2;
+        let disc = m1 * m1 - 4.0 * prod;
+        if prod <= 0.0 || disc < 0.0 {
+            return None;
         }
-        hi *= 2.0;
-    }
-    // At most 80 halvings; stop at the first one that leaves `(lo, hi)`
-    // unchanged. Each step is a pure function of `(lo, hi)`, so every later
-    // step would repeat it and the answer is bit-identical to running all 80.
-    for _ in 0..80 {
-        let mid = 0.5 * (lo + hi);
-        let (next_lo, next_hi) = if v(mid) < 0.5 { (mid, hi) } else { (lo, mid) };
-        if next_lo.to_bits() == lo.to_bits() && next_hi.to_bits() == hi.to_bits() {
-            break;
+        let sq = disc.sqrt();
+        let tau1 = 0.5 * (m1 + sq);
+        let tau2 = 0.5 * (m1 - sq);
+        if tau2 <= 0.0 || (tau1 - tau2) < 1e-18 * tau1 {
+            return None;
         }
-        lo = next_lo;
-        hi = next_hi;
+        Some(Self {
+            tau1,
+            tau2,
+            spread: tau1 - tau2,
+        })
     }
-    0.5 * (lo + hi)
+
+    /// The 50 % crossing by bracket doubling from `20·m1`, then bisection.
+    /// Points outside `window` take its proven branch; every other point
+    /// evaluates `v`, so the bracket sequence is the same with or without
+    /// a window.
+    fn crossing(&self, m1: f64, window: Option<CertifiedWindow>) -> f64 {
+        let mut lo = 0.0;
+        let mut hi = 20.0 * m1;
+        for _ in 0..200 {
+            let reached = match window.and_then(|w| w.below_half(hi)) {
+                Some(below) => !below,
+                None => self.v(hi) >= 0.5,
+            };
+            if reached {
+                break;
+            }
+            hi *= 2.0;
+        }
+        // At most 80 halvings; stop at the first one that leaves `(lo, hi)`
+        // unchanged. Each step is a pure function of `(lo, hi)`, so every later
+        // step would repeat it and the answer is bit-identical to running all 80.
+        for _ in 0..80 {
+            let mid = 0.5 * (lo + hi);
+            let below = window
+                .and_then(|w| w.below_half(mid))
+                .unwrap_or_else(|| self.v(mid) < 0.5);
+            let (next_lo, next_hi) = if below { (mid, hi) } else { (lo, mid) };
+            if next_lo.to_bits() == lo.to_bits() && next_hi.to_bits() == hi.to_bits() {
+                break;
+            }
+            lo = next_lo;
+            hi = next_hi;
+        }
+        0.5 * (lo + hi)
+    }
+
+    /// `v(t)` and its slope `v′(t) = (e^{−t/τ1} − e^{−t/τ2})/(τ1 − τ2)`,
+    /// both from one pair of `exp` calls. The only expression for `v` in
+    /// this module, so every caller rounds it the same way.
+    fn eval(&self, t: f64) -> (f64, f64) {
+        #[cfg(test)]
+        tests::EVALS.with(|n| n.set(n.get() + 1));
+        let e1 = (-t / self.tau1).exp();
+        let e2 = (-t / self.tau2).exp();
+        let v = 1.0 - (self.tau1 * e1 - self.tau2 * e2) / self.spread;
+        (v, (e1 - e2) / self.spread)
+    }
+
+    fn v(&self, t: f64) -> f64 {
+        self.eval(t).0
+    }
+}
+
+/// An interval `(below, above)` outside which the computed `v(t) < 0.5`
+/// test has a proven outcome: true for every `t ≤ below`, false for every
+/// `t ≥ above`.
+///
+/// Proof sketch. Let `v*` be `v` in exact arithmetic on the computed `τ1`,
+/// `τ2` and `τ1 − τ2`; it is strictly increasing. With `u = ε/2` and libm
+/// `exp` within 8 ulp, the computed `v` differs from `v*` by at most
+/// `E = 64·u·m1/(τ1−τ2) + 4·u` at every `t > 0` (the `exp` argument's
+/// rounding costs at most `x·e^{−x}·u ≤ u/e` per term; the rest is a few
+/// roundings of terms bounded by `m1/(τ1−τ2)`). If the computed
+/// `v(below) < 0.5 − 2E`, then `v*(t) ≤ v*(below) < 0.5 − E` for all
+/// `t ≤ below`, so the computed `v(t) < 0.5`; symmetrically for `above`.
+/// The slack in `E` covers the rounding of `E` and of `0.5 ± 2E`.
+#[derive(Clone, Copy, Debug)]
+struct CertifiedWindow {
+    below: f64,
+    above: f64,
+}
+
+impl CertifiedWindow {
+    /// Certifies a window around the 50 % crossing, or returns `None`
+    /// when the poles are so close that `v` is known to fewer than half
+    /// its digits (`E > √ε`), when Newton does not settle, or when a side
+    /// fails to certify after a few widenings. `None` means every
+    /// bisection step evaluates `v`, exactly as without a window.
+    fn find(step: &StepResponse, m1: f64) -> Option<Self> {
+        let u = f64::EPSILON / 2.0;
+        let err = 64.0 * u * m1 / step.spread + 4.0 * u;
+        if err.is_nan() || err > f64::EPSILON.sqrt() {
+            return None;
+        }
+        // Newton from ln2·m1. v is concave there (past the impulse
+        // response's peak) and ln2·m1 lies left of the root, so the iterates
+        // rise toward it. Near a root, Newton's next error is about
+        // `|v″/2v′|·step² ≤ step²/m1`; stop once that is a sixteenth of
+        // the window's half-width.
+        let mut t = core::f64::consts::LN_2 * m1;
+        let mut settled = None;
+        for _ in 0..12 {
+            let (v, slope) = step.eval(t);
+            if slope.is_nan() || slope <= 0.0 {
+                return None;
+            }
+            let newton = (0.5 - v) / slope;
+            t += newton;
+            let half_width = 4.0 * err / slope;
+            if newton * newton <= m1 * half_width / 16.0 {
+                settled = Some(half_width);
+                break;
+            }
+        }
+        let half_width = settled?;
+        if !(t > 0.0 && t < 20.0 * m1) {
+            return None;
+        }
+        let mut below = None;
+        let mut above = None;
+        let mut delta = half_width;
+        for _ in 0..4 {
+            if below.is_none() && step.v(t - delta) < 0.5 - 2.0 * err {
+                below = Some(t - delta);
+            }
+            if above.is_none() && step.v(t + delta) >= 0.5 + 2.0 * err {
+                above = Some(t + delta);
+            }
+            if let (Some(below), Some(above)) = (below, above) {
+                return Some(Self { below, above });
+            }
+            delta *= 4.0;
+        }
+        None
+    }
+
+    /// The proven outcome of the computed `v(t) < 0.5`, or `None` when `t`
+    /// lies inside the window and `v` must be evaluated.
+    fn below_half(self, t: f64) -> Option<bool> {
+        if t <= self.below {
+            Some(true)
+        } else if t >= self.above {
+            Some(false)
+        } else {
+            None
+        }
+    }
 }
 
 #[cfg(test)]
@@ -79,6 +224,19 @@ mod tests {
     use super::*;
     use crate::elmore::moments_all;
     use crate::rctree::RcTree;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Evaluations of `v` on this thread (`StepResponse::eval` bumps it).
+        pub(super) static EVALS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// `f()` and the number of `v` evaluations it made.
+    fn counted(f: impl FnOnce() -> f64) -> (f64, u64) {
+        EVALS.with(|n| n.set(0));
+        let d = f();
+        (d, EVALS.with(Cell::get))
+    }
 
     #[test]
     fn single_pole_all_metrics_agree() {
@@ -204,6 +362,65 @@ mod tests {
             }
         }
         assert_eq!(branches, [true, true, true], "grid must reach every branch");
+    }
+
+    /// SplitMix64 → uniform in [0, 1): a seeded stream for the sweep below.
+    fn uniform(state: &mut u64) -> f64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    #[test]
+    fn certified_bisection_matches_the_fixed_80_step_bisection_on_random_moments() {
+        // m1 log-uniform over 1e-16…1e-8; m2/m1² clustered at the
+        // near-coincident edge (0.75 + 1e-14, 0.75 + 1e-6), at a far second
+        // pole (1 − 1e-9), and uniform over every branch.
+        let mut state = 0x5eed_2023_u64;
+        let (mut windowed, mut unwindowed) = (0u32, 0u32);
+        for i in 0..240_000u32 {
+            let m1 = 10f64.powf(-16.0 + 8.0 * uniform(&mut state));
+            let jitter = 1.0 + uniform(&mut state);
+            let ratio = match i % 4 {
+                0 => 0.75 + 1e-14 * jitter,
+                1 => 0.75 + 1e-6 * jitter,
+                2 => 1.0 - 1e-9 * jitter,
+                _ => 0.7 + 0.35 * uniform(&mut state),
+            };
+            let m2 = ratio * m1 * m1;
+            let fast = two_pole_delay(m1, m2);
+            let fixed = two_pole_delay_fixed_80(m1, m2);
+            assert_eq!(fast.to_bits(), fixed.to_bits(), "m1 {m1:e}, m2 {m2:e}");
+            if let Some(step) = StepResponse::fit(m1, m2) {
+                match CertifiedWindow::find(&step, m1) {
+                    Some(_) => windowed += 1,
+                    None => unwindowed += 1,
+                }
+            }
+        }
+        assert!(windowed > 100_000, "windowed cases: {windowed}");
+        assert!(unwindowed > 0, "the no-window fallback was never reached");
+    }
+
+    #[test]
+    fn distinct_poles_take_at_most_24_evaluations() {
+        let (tau1, tau2) = (3e-12, 1e-12);
+        let m1 = tau1 + tau2;
+        let m2 = m1 * m1 - tau1 * tau2;
+        let (d, evals) = counted(|| two_pole_delay(m1, m2));
+        assert_eq!(d.to_bits(), two_pole_delay_fixed_80(m1, m2).to_bits());
+        assert!(evals <= 24, "{evals} evaluations of v");
+        // Without a window every doubling-loop check and bisection step
+        // evaluates v, and lands on the same bits.
+        let step = StepResponse::fit(m1, m2).expect("distinct real poles");
+        let (plain, plain_evals) = counted(|| step.crossing(m1, None));
+        assert_eq!(plain.to_bits(), d.to_bits());
+        assert!(
+            plain_evals >= 50,
+            "{plain_evals} evaluations without a window"
+        );
     }
 
     #[test]

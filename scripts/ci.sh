@@ -15,6 +15,9 @@ cargo test -q --offline --release -p nsigma --test compiled
 # The yield suite pins the golden kernel's trial bits; run it on the
 # optimized build too.
 cargo test -q --offline --release -p nsigma --test yield
+# The certified two-pole bisection is claimed bit-identical to evaluating
+# every step; that claim is about the optimized build's arithmetic.
+cargo test -q --offline --release -p nsigma-interconnect
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # Request paths must stay panic-free: no `.unwrap(` outside #[cfg(test)]
