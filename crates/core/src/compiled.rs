@@ -11,7 +11,8 @@
 //! * per-net effective loads and per-sink wire quantiles/means — pure
 //!   functions of the design's parasitics and the calibrated wire model —
 //!   evaluated once and stored, with the worst sink's index cached;
-//! * nominal per-gate path weights for the k-worst ranking.
+//! * nominal per-gate path weights: the arc-only weight of the k-worst
+//!   ranking and the arc+Elmore weight of the nominal critical path.
 //!
 //! Queries then allocate nothing: callers pass a [`QueryScratch`] whose
 //! arrival/slew buffers are reused across calls. Every query is
@@ -27,7 +28,9 @@ use crate::sta::{NsigmaTimer, PathTiming, StageTiming};
 use crate::stat_max::MergeRule;
 use nsigma_mc::design::Design;
 use nsigma_netlist::ir::{GateId, NetDriver, NetId};
-use nsigma_netlist::topo::{k_longest_paths_by_with_order, NetlistCsr, Path, PathScratch};
+use nsigma_netlist::topo::{
+    k_longest_paths_by_with_order, longest_path_by_with_order, NetlistCsr, Path, PathScratch,
+};
 use nsigma_stats::quantile::{QuantileSet, SigmaLevel};
 
 /// Sentinel in `net_worst_sink` for nets with no wire data (no parasitic
@@ -109,6 +112,10 @@ pub struct CompiledDesign {
     /// Nominal per-gate arc delay — the additive weight of the k-worst
     /// path ranking.
     path_weight: Vec<f64>,
+    /// Nominal per-gate arc + Elmore weight
+    /// ([`nsigma_mc::path_sim::nominal_stage_weight`]) — the additive weight
+    /// of the nominal critical path.
+    crit_weight: Vec<f64>,
 }
 
 impl CompiledDesign {
@@ -141,6 +148,7 @@ impl CompiledDesign {
             sink_wire_mean: Vec::new(),
             net_worst_sink: vec![NO_WIRE; nets],
             path_weight: vec![0.0; n],
+            crit_weight: vec![0.0; n],
         };
         let total_sinks = this.csr.fanout_gates.len();
         this.sink_wire_q = vec![QuantileSet::default(); total_sinks];
@@ -150,7 +158,7 @@ impl CompiledDesign {
             this.recompile_net(timer, NetId::from_index(idx));
         }
         for idx in 0..n {
-            this.recompile_path_weight(GateId::from_index(idx));
+            this.recompile_weights(GateId::from_index(idx));
         }
         Ok(this)
     }
@@ -254,9 +262,10 @@ impl CompiledDesign {
         }
     }
 
-    /// Refreshes one gate's nominal ranking weight from the current cell
-    /// and precomputed output load.
-    fn recompile_path_weight(&mut self, g: GateId) {
+    /// Refreshes one gate's nominal weights from its current cell and
+    /// output load: the ranking weight from the precomputed effective load,
+    /// the critical weight from [`nsigma_mc::path_sim::nominal_stage_weight`].
+    fn recompile_weights(&mut self, g: GateId) {
         let gate = self.design.netlist.gate(g);
         let cell = self.design.lib.cell(gate.cell);
         self.path_weight[g.index()] = nsigma_cells::timing::nominal_arc(
@@ -266,6 +275,7 @@ impl CompiledDesign {
             self.net_load[gate.output.index()],
         )
         .delay;
+        self.crit_weight[g.index()] = nsigma_mc::path_sim::nominal_stage_weight(&self.design, g);
     }
 
     /// Replaces a gate's cell (an ECO resize) and recompiles the affected
@@ -297,10 +307,10 @@ impl CompiledDesign {
         let out = self.design.netlist.gate(gate).output;
         self.recompile_net(timer, out);
 
-        self.recompile_path_weight(gate);
+        self.recompile_weights(gate);
         for &net in &fanins {
             if let NetDriver::Gate(driver) = self.design.netlist.net(net).driver {
-                self.recompile_path_weight(driver);
+                self.recompile_weights(driver);
             }
         }
         Ok(())
@@ -497,6 +507,16 @@ impl CompiledDesign {
             scratch,
         )
     }
+
+    /// The nominal critical path under the precomputed critical weights —
+    /// the path [`nsigma_mc::path_sim::find_critical_path`] returns for this
+    /// design, minus the per-query weight pass and Kahn sort. `None` for a
+    /// design with no gates.
+    pub fn critical_path(&self) -> Option<Path> {
+        longest_path_by_with_order(&self.design.netlist, &self.csr.order, |g| {
+            self.crit_weight[g.index()]
+        })
+    }
 }
 
 #[cfg(test)]
@@ -558,6 +578,37 @@ mod tests {
         let compiled = CompiledDesign::compile(&timer, design).unwrap();
         let fast = compiled.analyze_path(&timer, &path, &mut QueryScratch::new());
         assert_eq!(legacy, fast);
+    }
+
+    #[test]
+    fn resize_refreshes_weights_like_a_fresh_compile() {
+        let (timer, design) = setup();
+        let mut compiled = CompiledDesign::compile(&timer, design).unwrap();
+        let n = compiled.design().netlist.num_gates();
+        for (step, gi) in (0..n).step_by(5).enumerate() {
+            let g = GateId::from_index(gi);
+            let kind = {
+                let d = compiled.design();
+                d.lib.cell(d.netlist.gate(g).cell).kind()
+            };
+            let strength = [8, 1, 4][step % 3];
+            let cell = compiled.design().lib.find_kind(kind, strength).unwrap();
+            compiled.resize_gate_cell(&timer, g, cell).unwrap();
+        }
+        let fresh = CompiledDesign::compile(&timer, compiled.design().clone()).unwrap();
+        for i in 0..n {
+            assert_eq!(
+                compiled.path_weight[i].to_bits(),
+                fresh.path_weight[i].to_bits(),
+                "ranking weight of gate {i}"
+            );
+            assert_eq!(
+                compiled.crit_weight[i].to_bits(),
+                fresh.crit_weight[i].to_bits(),
+                "critical weight of gate {i}"
+            );
+        }
+        assert_eq!(compiled.critical_path(), fresh.critical_path());
     }
 
     #[test]

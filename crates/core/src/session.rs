@@ -288,10 +288,12 @@ impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
         Ok((path, timing))
     }
 
-    /// Analyzes the nominal critical path: finds it, then applies
+    /// Analyzes the nominal critical path: finds it over the compiled
+    /// critical weights ([`CompiledDesign::critical_path`], the same path as
+    /// [`nsigma_mc::path_sim::find_critical_path`]), then applies
     /// [`TimingSession::analyze_path`]. `None` for a pathless design.
     pub fn critical_path(&self) -> Option<(Path, PathTiming)> {
-        let path = nsigma_mc::path_sim::find_critical_path(self.design())?;
+        let path = self.compiled.critical_path()?;
         let timing = self.analyze_path(&path).ok()?;
         Some((path, timing))
     }

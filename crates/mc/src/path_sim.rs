@@ -55,7 +55,12 @@ pub fn find_critical_path(design: &Design) -> Option<Path> {
     longest_path_by(&design.netlist, |g| weights[g.index()])
 }
 
-fn nominal_stage_weight(design: &Design, g: nsigma_netlist::ir::GateId) -> f64 {
+/// The nominal critical-path weight of one stage: the gate's nominal arc
+/// delay (20 ps input slew into the lumped [`Design::stage_load_cap`]) plus
+/// the Elmore delay to its output net's first sink. The single definition
+/// behind [`find_critical_path`] and the compiled design's cached critical
+/// weights.
+pub fn nominal_stage_weight(design: &Design, g: nsigma_netlist::ir::GateId) -> f64 {
     let gate = design.netlist.gate(g);
     let cell = design.lib.cell(gate.cell);
     let load = design.stage_load_cap(gate.output);

@@ -99,7 +99,17 @@ impl Path {
 ///
 /// Returns `None` for a netlist with no gates.
 pub fn longest_path_by(netlist: &Netlist, gate_weight: impl Fn(GateId) -> f64) -> Option<Path> {
-    let order = topo_order(netlist);
+    longest_path_by_with_order(netlist, &topo_order(netlist), gate_weight)
+}
+
+/// [`longest_path_by`] over a caller-supplied topo `order`. Produces the
+/// identical path; callers that precompute the order (compiled timing
+/// graphs) skip the per-query Kahn pass.
+pub fn longest_path_by_with_order(
+    netlist: &Netlist,
+    order: &[GateId],
+    gate_weight: impl Fn(GateId) -> f64,
+) -> Option<Path> {
     if order.is_empty() {
         return None;
     }
@@ -108,7 +118,7 @@ pub fn longest_path_by(netlist: &Netlist, gate_weight: impl Fn(GateId) -> f64) -
     // (None when the best path starts at this gate from a PI).
     let mut arrival = vec![f64::NEG_INFINITY; n];
     let mut pred: Vec<Option<GateId>> = vec![None; n];
-    for &g in &order {
+    for &g in order {
         let mut best = 0.0;
         let mut best_pred = None;
         for &i in &netlist.gate(g).inputs {
@@ -136,7 +146,7 @@ pub fn longest_path_by(netlist: &Netlist, gate_weight: impl Fn(GateId) -> f64) -
         }
     }
     if end.is_none() {
-        for &g in &order {
+        for &g in order {
             if arrival[g.index()] > end_arrival {
                 end_arrival = arrival[g.index()];
                 end = Some(g);

@@ -75,4 +75,18 @@ case "$golden_line" in
     ;;
 esac
 
+# Daemon smoke: perfbench's daemon_query workload starts the server, checks
+# remote/local parity of worst_paths and quantile answers, then runs the
+# query mix (analyze_path, worst_paths, quantile, eco_resize) for 1 s; an
+# error reply or a failed parity check shows up as a failed operation.
+daemon_line=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload daemon_query --seconds 1 --trace 0 | tail -n 1)
+case "$daemon_line" in
+  *'"failed": 0,'*) ;;
+  *)
+    echo "ci: perfbench daemon_query reported failed checks: $daemon_line" >&2
+    exit 1
+    ;;
+esac
+
 echo "ci: all green"

@@ -10,6 +10,7 @@ use nsigma_cells::CellLibrary;
 use nsigma_core::sta::TimerConfig;
 use nsigma_core::{reference, MergeRule, NsigmaTimer, TimingSession};
 use nsigma_mc::design::Design;
+use nsigma_mc::path_sim::find_critical_path;
 use nsigma_netlist::generators::random_dag::{synthetic_circuit, Iscas85, SyntheticConfig};
 use nsigma_netlist::logic::LogicCircuit;
 use nsigma_netlist::mapping::map_to_cells;
@@ -61,6 +62,27 @@ fn generated_designs(tech: &Technology, lib: &CellLibrary) -> Vec<Design> {
         designs.push(design_of(tech, lib, &circuit, seed ^ 0x5a));
     }
     designs
+}
+
+/// The session's critical path (from the compiled critical weights) must
+/// be the path `find_critical_path` picks on the session's design, and its
+/// quantiles must equal the string-keyed oracle's on the twin design.
+fn assert_critical_path_matches(
+    timer: &NsigmaTimer,
+    session: &TimingSession<&NsigmaTimer>,
+    twin: &Design,
+    what: &str,
+) {
+    let (path, timing) = session.critical_path().expect("critical path");
+    let expected = find_critical_path(session.design()).expect("critical path");
+    assert_eq!(path.gates, expected.gates, "{what}: critical path gates");
+    assert_eq!(path.nets, expected.nets, "{what}: critical path nets");
+    let (_, oracle) = reference::analyze_critical_path(timer, twin).expect("path");
+    assert_bits_eq(
+        &oracle.quantiles,
+        &timing.quantiles,
+        &format!("{what}: critical path quantiles"),
+    );
 }
 
 fn assert_bits_eq(a: &QuantileSet, b: &QuantileSet, what: &str) {
@@ -193,6 +215,7 @@ fn resize_sequences_match_reference_full_reanalysis() {
             &session.worst_output(),
             &format!("{name}: initial full analysis"),
         );
+        assert_critical_path_matches(&timer, &session, &twin, &format!("{name}: initial"));
 
         let total_gates = twin.netlist.num_gates();
         let picks = [3usize, 57, 111, 3, 200];
@@ -212,6 +235,12 @@ fn resize_sequences_match_reference_full_reanalysis() {
             assert_bits_eq(
                 &oracle,
                 &incremental,
+                &format!("{name}: after resize {step}"),
+            );
+            assert_critical_path_matches(
+                &timer,
+                &session,
+                &twin,
                 &format!("{name}: after resize {step}"),
             );
             assert!(

@@ -175,6 +175,45 @@ fn concurrent_clients_get_bit_exact_answers() {
         "fractional sigma must match the local yield curve"
     );
 
+    // analyze_path after c432-0's ECO: the daemon's critical path must be
+    // the string-keyed oracle's on the same resized design, bit for bit.
+    let mut resized = reference.clone();
+    let eco_gate = resized
+        .netlist
+        .gate_ids()
+        .find(|&g| resized.netlist.gate(g).name == eco_gates[0])
+        .expect("eco gate");
+    let kind = resized.lib.cell(resized.netlist.gate(eco_gate).cell).kind();
+    let x8 = resized.lib.find_kind(kind, 8).expect("x8 cell");
+    resized.replace_gate_cell(eco_gate, x8);
+    let (oracle_path, oracle) =
+        nsigma_core::reference::analyze_critical_path(&local_timer, &resized)
+            .expect("critical path");
+    let ap = client
+        .request_ok(r#"{"cmd":"analyze_path","design":"c432-0"}"#)
+        .expect("analyze_path");
+    let remote_gates: Vec<&str> = ap
+        .get("gates")
+        .unwrap()
+        .as_arr()
+        .unwrap()
+        .iter()
+        .map(|v| v.as_str().unwrap())
+        .collect();
+    let oracle_gates: Vec<&str> = oracle_path
+        .gates
+        .iter()
+        .map(|&g| resized.netlist.gate(g).name.as_str())
+        .collect();
+    assert_eq!(
+        remote_gates, oracle_gates,
+        "analyze_path picked another path"
+    );
+    let remote_q = quantile_array(ap.get("quantiles").unwrap());
+    for (r, l) in remote_q.iter().zip(&oracle.quantiles.as_array()) {
+        assert_eq!(r.to_bits(), l.to_bits(), "analyze_path drifted");
+    }
+
     // Errors carry typed codes.
     let missing = client
         .request(r#"{"cmd":"worst_paths","design":"ghost"}"#)
