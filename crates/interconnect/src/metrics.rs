@@ -33,9 +33,11 @@ pub fn d2m_delay(m1: f64, m2: f64) -> f64 {
 /// (`m2 < ¾·m1²`) or degenerate.
 ///
 /// The bisection only evaluates the step response where its outcome is
-/// not yet proven: a Newton solve plus a rounding-error bound certify a
+/// not yet proven: a root estimate plus a rounding-error bound certify a
 /// window around the root, and every bisection point outside it takes the
-/// branch the bound proves. The `lo`/`hi`
+/// branch the bound proves. When the fast pole's term provably rounds away
+/// on the whole window, the root estimate is the slow pole's closed form
+/// and each evaluation costs one `exp` instead of two. The `lo`/`hi`
 /// sequence, and so the result, is bit-identical to evaluating every step.
 ///
 /// # Panics
@@ -86,12 +88,13 @@ impl StepResponse {
     /// evaluates `v`, so the bracket sequence is the same with or without
     /// a window.
     fn crossing(&self, m1: f64, window: Option<CertifiedWindow>) -> f64 {
+        let slow_pole = window.is_some_and(|w| w.slow_pole);
         let mut lo = 0.0;
         let mut hi = 20.0 * m1;
         for _ in 0..200 {
             let reached = match window.and_then(|w| w.below_half(hi)) {
                 Some(below) => !below,
-                None => self.v(hi) >= 0.5,
+                None => self.v(hi, slow_pole) >= 0.5,
             };
             if reached {
                 break;
@@ -105,7 +108,7 @@ impl StepResponse {
             let mid = 0.5 * (lo + hi);
             let below = window
                 .and_then(|w| w.below_half(mid))
-                .unwrap_or_else(|| self.v(mid) < 0.5);
+                .unwrap_or_else(|| self.v(mid, slow_pole) < 0.5);
             let (next_lo, next_hi) = if below { (mid, hi) } else { (lo, mid) };
             if next_lo.to_bits() == lo.to_bits() && next_hi.to_bits() == hi.to_bits() {
                 break;
@@ -117,21 +120,82 @@ impl StepResponse {
     }
 
     /// `v(t)` and its slope `v′(t) = (e^{−t/τ1} − e^{−t/τ2})/(τ1 − τ2)`,
-    /// both from one pair of `exp` calls. The only expression for `v` in
-    /// this module, so every caller rounds it the same way.
+    /// both from one pair of `exp` calls. The only two-pole expression for
+    /// `v` in this module, so every caller rounds it the same way.
     fn eval(&self, t: f64) -> (f64, f64) {
         #[cfg(test)]
-        tests::EVALS.with(|n| n.set(n.get() + 1));
+        tests::count_eval(2);
         let e1 = (-t / self.tau1).exp();
         let e2 = (-t / self.tau2).exp();
         let v = 1.0 - (self.tau1 * e1 - self.tau2 * e2) / self.spread;
         (v, (e1 - e2) / self.spread)
     }
 
-    fn v(&self, t: f64) -> f64 {
-        self.eval(t).0
+    /// `v(t)`; with `slow_pole`, from the slow pole's `exp` alone. That is
+    /// [`StepResponse::eval`]'s expression with the `τ2·e^{−t/τ2}` term
+    /// dropped, and bit-identical to it wherever a
+    /// [`StepResponse::slow_pole_root`] certificate holds: there the dropped
+    /// term is below a quarter ulp of `τ1·e^{−t/τ1}`, so the subtraction
+    /// returns `τ1·e^{−t/τ1}` unchanged.
+    fn v(&self, t: f64, slow_pole: bool) -> f64 {
+        if !slow_pole {
+            return self.eval(t).0;
+        }
+        #[cfg(test)]
+        tests::count_eval(1);
+        let e1 = (-t / self.tau1).exp();
+        1.0 - (self.tau1 * e1) / self.spread
+    }
+
+    /// The slow pole's closed-form 50 % crossing `r = τ1·ln(2τ1/(τ1−τ2))`
+    /// and the window half-width `δ = 4E·2τ1` (`2τ1` is `1/v′(r)` there),
+    /// or `None` unless the fast pole's term provably rounds away on the
+    /// widest window `[a, b] = r ∓ 64δ` the certification may try.
+    ///
+    /// The certificate `a/τ2 − b/τ1 ≥ 41`. For `t` in `[a, b]`,
+    /// `t/τ2 − t/τ1 ≥ a/τ2 − b/τ1`, so
+    /// `τ2·e^{−t/τ2} ≤ (τ2/τ1)·e^{−41}·τ1·e^{−t/τ1} < 2^{−59}·τ1·e^{−t/τ1}`.
+    /// Below `2^{−55}·x`, a term is under a quarter ulp of `x` and under
+    /// half the spacing below `x` even when `x` is a power of two, so
+    /// `fl(x − y) = x`. The 2^4 of slack covers `exp`'s error, the rounding
+    /// of the `exp` arguments and products, and the rounding of the
+    /// certificate itself.
+    fn slow_pole_root(&self, err: f64) -> Option<(f64, f64)> {
+        let root = self.tau1 * (2.0 * self.tau1 / self.spread).ln();
+        let half_width = 8.0 * err * self.tau1;
+        let reach = half_width * 4f64.powi(WIDENINGS as i32);
+        let (a, b) = (root - reach, root + reach);
+        (a / self.tau2 - b / self.tau1 >= 41.0).then_some((root, half_width))
+    }
+
+    /// The 50 % crossing by Newton from `ln2·m1` and the window half-width
+    /// `4E/v′` there, or `None` when the slope is unusable or Newton does
+    /// not settle.
+    fn newton_root(&self, m1: f64, err: f64) -> Option<(f64, f64)> {
+        // v is concave at ln2·m1 (past the impulse response's peak) and
+        // ln2·m1 lies left of the root, so the iterates rise toward it.
+        // Near a root, Newton's next error is about `|v″/2v′|·step² ≤
+        // step²/m1`; stop once that is a sixteenth of the window's
+        // half-width.
+        let mut t = core::f64::consts::LN_2 * m1;
+        for _ in 0..12 {
+            let (v, slope) = self.eval(t);
+            if slope.is_nan() || slope <= 0.0 {
+                return None;
+            }
+            let newton = (0.5 - v) / slope;
+            t += newton;
+            let half_width = 4.0 * err / slope;
+            if newton * newton <= m1 * half_width / 16.0 {
+                return Some((t, half_width));
+            }
+        }
+        None
     }
 }
+
+/// How many times [`CertifiedWindow::find`] widens a failing side 4×.
+const WIDENINGS: u32 = 3;
 
 /// An interval `(below, above)` outside which the computed `v(t) < 0.5`
 /// test has a proven outcome: true for every `t ≤ below`, false for every
@@ -150,6 +214,9 @@ impl StepResponse {
 struct CertifiedWindow {
     below: f64,
     above: f64,
+    /// The window came from [`StepResponse::slow_pole_root`]: every `v`
+    /// inside it is evaluated with one `exp`.
+    slow_pole: bool,
 }
 
 impl CertifiedWindow {
@@ -164,42 +231,32 @@ impl CertifiedWindow {
         if err.is_nan() || err > f64::EPSILON.sqrt() {
             return None;
         }
-        // Newton from ln2·m1. v is concave there (past the impulse
-        // response's peak) and ln2·m1 lies left of the root, so the iterates
-        // rise toward it. Near a root, Newton's next error is about
-        // `|v″/2v′|·step² ≤ step²/m1`; stop once that is a sixteenth of
-        // the window's half-width.
-        let mut t = core::f64::consts::LN_2 * m1;
-        let mut settled = None;
-        for _ in 0..12 {
-            let (v, slope) = step.eval(t);
-            if slope.is_nan() || slope <= 0.0 {
-                return None;
+        let (t, half_width, slow_pole) = match step.slow_pole_root(err) {
+            Some((t, half_width)) => (t, half_width, true),
+            None => {
+                let (t, half_width) = step.newton_root(m1, err)?;
+                (t, half_width, false)
             }
-            let newton = (0.5 - v) / slope;
-            t += newton;
-            let half_width = 4.0 * err / slope;
-            if newton * newton <= m1 * half_width / 16.0 {
-                settled = Some(half_width);
-                break;
-            }
-        }
-        let half_width = settled?;
+        };
         if !(t > 0.0 && t < 20.0 * m1) {
             return None;
         }
         let mut below = None;
         let mut above = None;
         let mut delta = half_width;
-        for _ in 0..4 {
-            if below.is_none() && step.v(t - delta) < 0.5 - 2.0 * err {
+        for _ in 0..=WIDENINGS {
+            if below.is_none() && step.v(t - delta, slow_pole) < 0.5 - 2.0 * err {
                 below = Some(t - delta);
             }
-            if above.is_none() && step.v(t + delta) >= 0.5 + 2.0 * err {
+            if above.is_none() && step.v(t + delta, slow_pole) >= 0.5 + 2.0 * err {
                 above = Some(t + delta);
             }
             if let (Some(below), Some(above)) = (below, above) {
-                return Some(Self { below, above });
+                return Some(Self {
+                    below,
+                    above,
+                    slow_pole,
+                });
             }
             delta *= 4.0;
         }
@@ -227,15 +284,30 @@ mod tests {
     use std::cell::Cell;
 
     thread_local! {
-        /// Evaluations of `v` on this thread (`StepResponse::eval` bumps it).
-        pub(super) static EVALS: Cell<u64> = const { Cell::new(0) };
+        /// Evaluations of `v` on this thread: `[one-exp, two-exp]`.
+        static EVALS: Cell<[u64; 2]> = const { Cell::new([0; 2]) };
+    }
+
+    /// Counts one evaluation of `v` that called `exp` `exps` (1 or 2) times.
+    pub(super) fn count_eval(exps: usize) {
+        EVALS.with(|n| {
+            let mut counts = n.get();
+            counts[exps - 1] += 1;
+            n.set(counts);
+        });
+    }
+
+    /// `f()` and the `[one-exp, two-exp]` evaluations of `v` it made.
+    fn counted_by_kind(f: impl FnOnce() -> f64) -> (f64, [u64; 2]) {
+        EVALS.with(|n| n.set([0; 2]));
+        let d = f();
+        (d, EVALS.with(Cell::get))
     }
 
     /// `f()` and the number of `v` evaluations it made.
     fn counted(f: impl FnOnce() -> f64) -> (f64, u64) {
-        EVALS.with(|n| n.set(0));
-        let d = f();
-        (d, EVALS.with(Cell::get))
+        let (d, [one, two]) = counted_by_kind(f);
+        (d, one + two)
     }
 
     #[test]
@@ -377,17 +449,20 @@ mod tests {
     fn certified_bisection_matches_the_fixed_80_step_bisection_on_random_moments() {
         // m1 log-uniform over 1e-16…1e-8; m2/m1² clustered at the
         // near-coincident edge (0.75 + 1e-14, 0.75 + 1e-6), at a far second
-        // pole (1 − 1e-9), and uniform over every branch.
+        // pole (1 − 1e-9), uniform over every branch, and uniform over the
+        // c432 sinks' range [0.98, 1.0001], where the certified slow-pole
+        // branch starts.
         let mut state = 0x5eed_2023_u64;
-        let (mut windowed, mut unwindowed) = (0u32, 0u32);
-        for i in 0..240_000u32 {
+        let (mut slow_pole, mut two_exp, mut unwindowed) = (0u32, 0u32, 0u32);
+        for i in 0..300_000u32 {
             let m1 = 10f64.powf(-16.0 + 8.0 * uniform(&mut state));
             let jitter = 1.0 + uniform(&mut state);
-            let ratio = match i % 4 {
+            let ratio = match i % 5 {
                 0 => 0.75 + 1e-14 * jitter,
                 1 => 0.75 + 1e-6 * jitter,
                 2 => 1.0 - 1e-9 * jitter,
-                _ => 0.7 + 0.35 * uniform(&mut state),
+                3 => 0.7 + 0.35 * uniform(&mut state),
+                _ => 0.98 + 0.0201 * uniform(&mut state),
             };
             let m2 = ratio * m1 * m1;
             let fast = two_pole_delay(m1, m2);
@@ -395,13 +470,29 @@ mod tests {
             assert_eq!(fast.to_bits(), fixed.to_bits(), "m1 {m1:e}, m2 {m2:e}");
             if let Some(step) = StepResponse::fit(m1, m2) {
                 match CertifiedWindow::find(&step, m1) {
-                    Some(_) => windowed += 1,
+                    Some(w) if w.slow_pole => slow_pole += 1,
+                    Some(_) => two_exp += 1,
                     None => unwindowed += 1,
                 }
             }
         }
-        assert!(windowed > 100_000, "windowed cases: {windowed}");
+        assert!(slow_pole > 100_000, "slow-pole windows: {slow_pole}");
+        assert!(two_exp > 50_000, "two-exp windows: {two_exp}");
         assert!(unwindowed > 0, "the no-window fallback was never reached");
+    }
+
+    #[test]
+    fn c432_like_sinks_evaluate_only_the_slow_pole() {
+        // Every c432 sink with a fit has m2/m1² ≥ 0.994; at 0.996 the
+        // closed-form root certifies at once and the bisection needs no
+        // second exp.
+        for m1 in [1e-15, 3e-12, 7.7e-10] {
+            let m2 = 0.996 * m1 * m1;
+            let (d, [one_exp, two_exp]) = counted_by_kind(|| two_pole_delay(m1, m2));
+            assert_eq!(d.to_bits(), two_pole_delay_fixed_80(m1, m2).to_bits());
+            assert!(one_exp <= 16, "{one_exp} one-exp evaluations at m1 {m1:e}");
+            assert_eq!(two_exp, 0, "two-exp evaluations at m1 {m1:e}");
+        }
     }
 
     #[test]

@@ -280,16 +280,13 @@ impl<'a> PathPlan<'a> {
             let dloc = variation.sample_local_vth(rng, stage.sigma_pd);
             let dloc_rise = variation.sample_local_vth(rng, stage.sigma_pu);
             let (wire_delay, load_cap) = if self.wires.is_wired(k) {
-                let net_sample = self.wires.sample(
-                    k, self.tech, variation, stage.cell, global, dloc, rng, scratch,
-                );
                 let pos = self.sink_pos[k];
+                let (net_sample, delay) = self.wires.sample_sink(
+                    k, pos, self.tech, variation, stage.cell, global, dloc, rng, scratch,
+                );
                 // The cell arc is evaluated at the effective capacitance so
                 // cell + wire decompose the true source→sink delay exactly.
-                (
-                    scratch.delays()[pos] * self.wires.scales(k)[pos],
-                    net_sample.c_eff,
-                )
+                (delay * self.wires.scales(k)[pos], net_sample.c_eff)
             } else {
                 (0.0, stage.fallback_cap)
             };

@@ -30,6 +30,7 @@ use nsigma_interconnect::transient::{simulate_ramp, TransientConfig};
 use nsigma_process::{GlobalSample, Technology, VariationModel};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 use std::time::Instant;
 
 /// How the golden evaluates each sampled wire.
@@ -292,6 +293,41 @@ impl WirePlan {
         )
     }
 
+    /// [`WirePlan::sample`] for the one sink at position `pos` (in sink
+    /// order) that the caller reads: the same draws and moments, but only
+    /// that sink's two-pole delay, which is returned unscaled. The other
+    /// entries of [`WireScratch::delays`] are left stale.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unwired slot or if `pos` is not a sink of the slot.
+    #[allow(clippy::too_many_arguments)]
+    pub fn sample_sink<R: Rng + ?Sized>(
+        &self,
+        slot: usize,
+        pos: usize,
+        tech: &Technology,
+        variation: &VariationModel,
+        driver: &Cell,
+        global: &GlobalSample,
+        driver_dvth_local: f64,
+        rng: &mut R,
+        scratch: &mut WireScratch,
+    ) -> (NetSample, f64) {
+        let drawn = self.draw(
+            slot,
+            tech,
+            variation,
+            driver,
+            global,
+            driver_dvth_local,
+            rng,
+            scratch,
+        );
+        self.two_pole(slot, &drawn, scratch, pos..pos + 1);
+        (drawn.totals, scratch.delays[pos])
+    }
+
     /// [`WirePlan::sample`] in either golden mode (`input_slew` only
     /// matters to the transient).
     #[allow(clippy::too_many_arguments)]
@@ -319,7 +355,10 @@ impl WirePlan {
             scratch,
         );
         match mode {
-            WireGoldenMode::TwoPole => self.two_pole(slot, &drawn, scratch),
+            WireGoldenMode::TwoPole => {
+                let sinks = self.sink_start[slot + 1] - self.sink_start[slot];
+                self.two_pole(slot, &drawn, scratch, 0..sinks);
+            }
             WireGoldenMode::Transient => self.transient(slot, tech, &drawn, input_slew, scratch),
         }
         drawn.totals
@@ -380,14 +419,16 @@ impl WirePlan {
     }
 
     /// Step-response source→sink two-pole delay minus the lumped step 50 %
-    /// (ln2·τ) at every sink, from the sampled values in `scratch`.
+    /// (ln2·τ) at the sinks in `sinks` (positions in sink order), from the
+    /// sampled values in `scratch`.
     ///
     /// The moments are those of the tree with `rd` folded in as node 0's
     /// edge from an ideal source: `m1(i) = m1(parent) + R_i · C_down(i)`
     /// and the same recursion for m2 with node weights `C_k · m1(k)`.
-    fn two_pole(&self, slot: usize, drawn: &Drawn, scratch: &mut WireScratch) {
+    fn two_pole(&self, slot: usize, drawn: &Drawn, scratch: &mut WireScratch, sinks: Range<usize>) {
         let (n0, n1) = (self.node_start[slot], self.node_start[slot + 1]);
-        let (s0, s1) = (self.sink_start[slot], self.sink_start[slot + 1]);
+        let sink_node =
+            &self.sink_node[self.sink_start[slot]..self.sink_start[slot + 1]][sinks.clone()];
         let n = n1 - n0;
         let parent = &self.parent[n0..n1];
         let res = &scratch.res[..n];
@@ -418,7 +459,7 @@ impl WirePlan {
         }
 
         let lumped = core::f64::consts::LN_2 * drawn.tau;
-        for (d, &node) in scratch.delays.iter_mut().zip(&self.sink_node[s0..s1]) {
+        for (d, &node) in scratch.delays[sinks].iter_mut().zip(sink_node) {
             let k = node as usize;
             *d = two_pole_delay(m1[k].max(1e-18), m2[k].max(1e-33)) - lumped;
         }
@@ -713,7 +754,9 @@ mod tests {
     }
 
     /// Runs the kernel and the oracle on the same draws and asserts equal
-    /// bits, and that both consumed the same number of draws.
+    /// bits, and that both consumed the same number of draws. In two-pole
+    /// mode, [`WirePlan::sample_sink`] must also land on each sink's bits
+    /// and consume the same draws.
     fn assert_kernel_matches_oracle(tree: &RcTree, seed: u64, mode: WireGoldenMode) {
         let tech = Technology::synthetic_28nm();
         let variation = VariationModel::new(&tech);
@@ -732,6 +775,7 @@ mod tests {
         let global = variation.sample_global(&mut rng_a);
         let dloc = variation.sample_local_vth(&mut rng_a, 0.02);
         let mut rng_b = rng_a.clone();
+        let rng_start = rng_a.clone();
         let slew = 10e-12;
         let ours = sample_wire(
             &tech, &variation, tree, &driver, &loads, slew, &global, dloc, &mut rng_a, mode,
@@ -744,7 +788,38 @@ mod tests {
             sample_bits(&oracle),
             "{mode:?} seed {seed}"
         );
-        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "draw count differs");
+        let next_draw = rng_a.gen::<u64>();
+        assert_eq!(next_draw, rng_b.gen::<u64>(), "draw count differs");
+        if mode == WireGoldenMode::TwoPole {
+            let mut plan = WirePlan::new();
+            plan.push_net(&tech, tree, &driver, &loads, None);
+            let mut scratch = plan.scratch();
+            for (pos, delay) in ours.delays.iter().enumerate() {
+                let mut rng = rng_start.clone();
+                let (totals, one) = plan.sample_sink(
+                    0,
+                    pos,
+                    &tech,
+                    &variation,
+                    &driver,
+                    &global,
+                    dloc,
+                    &mut rng,
+                    &mut scratch,
+                );
+                assert_eq!(one.to_bits(), delay.to_bits(), "sink {pos}, seed {seed}");
+                assert_eq!(
+                    (totals.total_cap.to_bits(), totals.c_eff.to_bits()),
+                    (ours.total_cap.to_bits(), ours.c_eff.to_bits()),
+                    "sink {pos}, seed {seed}"
+                );
+                assert_eq!(
+                    rng.gen::<u64>(),
+                    next_draw,
+                    "sink {pos}: draw count differs"
+                );
+            }
+        }
     }
 
     proptest! {

@@ -18,6 +18,9 @@ cargo test -q --offline --release -p nsigma --test yield
 # The certified two-pole bisection is claimed bit-identical to evaluating
 # every step; that claim is about the optimized build's arithmetic.
 cargo test -q --offline --release -p nsigma-interconnect
+# The flat wire kernel (and its single-sink entry point) is claimed
+# bit-identical to the tree-based oracle; check that on the optimized build.
+cargo test -q --offline --release -p nsigma-mc
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # Request paths must stay panic-free: no `.unwrap(` outside #[cfg(test)]
