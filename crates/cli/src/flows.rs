@@ -766,7 +766,7 @@ mod tests {
         ]);
         let out = run_query(&args).unwrap();
         assert!(out.contains(r#""ok":true"#), "{out}");
-        assert!(out.contains("stage_cache"), "{out}");
+        assert!(out.contains(r#""uptime_s":"#), "{out}");
 
         let args = argv_vec(vec!["query", "--port", &port, "--send", "not json"]);
         let out = run_query(&args).unwrap();

@@ -29,14 +29,16 @@ use nsigma_stats::quantile::{QuantileSet, SigmaLevel};
 use nsigma_stats::regression::{ols, FitError};
 
 /// Which dimensionless features feed each sigma level's regression,
-/// mirroring Table I (σγ/σ → γ, σκ/σ → κ, γκ stays γκ).
-fn features_for(level: SigmaLevel, m: &Moments) -> Vec<f64> {
+/// mirroring Table I (σγ/σ → γ, σκ/σ → κ, γκ stays γκ). Returns the
+/// features in a fixed array and how many of its leading slots are used,
+/// so evaluating the model allocates nothing.
+fn features_for(level: SigmaLevel, m: &Moments) -> ([f64; 3], usize) {
     let g = m.skewness;
     let k = m.kurtosis;
     match level.n().abs() {
-        3 => vec![k, g * k],
-        2 => vec![g, k, g * k],
-        _ => vec![g, g * k],
+        3 => ([k, g * k, 0.0], 2),
+        2 => ([g, k, g * k], 3),
+        _ => ([g, g * k, 0.0], 2),
     }
 }
 
@@ -93,8 +95,9 @@ impl CellQuantileModel {
                 assert!(m.std > 0.0, "training moments need positive σ");
                 let base = m.mean + level.n() as f64 * m.std;
                 let resid = (q[level] - base) / m.std;
+                let (features, len) = features_for(level, m);
                 let mut row = vec![1.0];
-                row.extend(features_for(level, m));
+                row.extend_from_slice(&features[..len]);
                 rows.push(row);
                 ys.push(resid);
             }
@@ -109,8 +112,9 @@ impl CellQuantileModel {
     pub fn predict(&self, m: &Moments) -> QuantileSet {
         QuantileSet::from_fn(|level| {
             let coeffs = &self.coefficients[level.index()];
+            let (features, len) = features_for(level, m);
             let mut resid = coeffs[0];
-            for (c, f) in coeffs[1..].iter().zip(features_for(level, m)) {
+            for (c, f) in coeffs[1..].iter().zip(&features[..len]) {
                 resid += c * f;
             }
             m.mean + level.n() as f64 * m.std + resid * m.std
@@ -152,7 +156,7 @@ impl CellQuantileModel {
     pub fn gaussian() -> Self {
         let mut coefficients: [Vec<f64>; 7] = Default::default();
         for level in SigmaLevel::ALL {
-            let n_features = features_for(
+            let (_, n_features) = features_for(
                 level,
                 &Moments {
                     mean: 0.0,
@@ -161,8 +165,7 @@ impl CellQuantileModel {
                     kurtosis: 0.0,
                     n: 0,
                 },
-            )
-            .len();
+            );
             coefficients[level.index()] = vec![0.0; n_features + 1];
         }
         Self { coefficients }

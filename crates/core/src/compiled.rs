@@ -47,11 +47,6 @@ pub struct QueryScratch {
     slew: Vec<f64>,
     /// DP tables for ranked-path queries.
     pub paths: PathScratch,
-    /// Stage-cache hits observed by queries run with this scratch since
-    /// the counters were last taken (the session aggregates these).
-    pub(crate) cache_hits: u64,
-    /// Stage-cache misses, same accounting.
-    pub(crate) cache_misses: u64,
 }
 
 impl QueryScratch {
@@ -66,23 +61,6 @@ impl QueryScratch {
         self.arrival.resize(nets, QuantileSet::default());
         self.slew.clear();
         self.slew.resize(nets, input_slew);
-    }
-
-    /// Returns and zeroes the accumulated `(hits, misses)` counters.
-    pub(crate) fn take_cache_counters(&mut self) -> (u64, u64) {
-        let out = (self.cache_hits, self.cache_misses);
-        self.cache_hits = 0;
-        self.cache_misses = 0;
-        out
-    }
-
-    /// Records one stage-cache lookup outcome.
-    fn count_lookup(&mut self, hit: bool) {
-        if hit {
-            self.cache_hits += 1;
-        } else {
-            self.cache_misses += 1;
-        }
     }
 }
 
@@ -367,9 +345,8 @@ impl CompiledDesign {
                 }
             }
 
-            let (cell_q, out_slew, hit) =
-                timer.stage_cell_quantiles_probe(self.gate_cal[gi], in_slew, load);
-            scratch.count_lookup(hit);
+            let (cell_q, out_slew) =
+                timer.stage_cell_quantiles_id(self.gate_cal[gi], in_slew, load);
             let (wire_q, wire_mean) = self.worst_sink_wire(NetId::from_index(net));
 
             scratch.arrival[net] = in_arrival.add(&cell_q).add(&wire_q);
@@ -426,9 +403,8 @@ impl CompiledDesign {
             }
             let in_arrival = in_arrival.unwrap_or_default();
 
-            let (cell_q, out_slew, hit) =
-                timer.stage_cell_quantiles_probe(self.gate_cal[gi], in_slew, load);
-            scratch.count_lookup(hit);
+            let (cell_q, out_slew) =
+                timer.stage_cell_quantiles_id(self.gate_cal[gi], in_slew, load);
             let (wire_q, wire_mean) = self.worst_sink_wire(NetId::from_index(net));
 
             scratch.arrival[net] = in_arrival.add(&cell_q).add(&wire_q);
@@ -449,19 +425,13 @@ impl CompiledDesign {
     }
 
     /// Compiled counterpart of [`crate::reference::analyze_path`] (eq. 10
-    /// over one path), bit-identical. `scratch` is used only for the
-    /// stage-cache counters; the session validates path gates before
-    /// calling in.
+    /// over one path), bit-identical. The session validates path gates
+    /// before calling in.
     ///
     /// # Panics
     ///
     /// Panics if the path references a gate outside this design.
-    pub fn analyze_path(
-        &self,
-        timer: &NsigmaTimer,
-        path: &Path,
-        scratch: &mut QueryScratch,
-    ) -> PathTiming {
+    pub fn analyze_path(&self, timer: &NsigmaTimer, path: &Path) -> PathTiming {
         let mut total = QuantileSet::default();
         let mut stages = Vec::with_capacity(path.len());
         let mut slew = timer.input_slew();
@@ -471,9 +441,7 @@ impl CompiledDesign {
             let net = self.csr.gate_output[gi] as usize;
             let load = self.net_load[net];
 
-            let (cell_q, out_slew, hit) =
-                timer.stage_cell_quantiles_probe(self.gate_cal[gi], slew, load);
-            scratch.count_lookup(hit);
+            let (cell_q, out_slew) = timer.stage_cell_quantiles_id(self.gate_cal[gi], slew, load);
             let (wire_q, wire_mean) =
                 self.path_sink_wire(NetId::from_index(net), path.gates.get(k + 1).copied());
 
@@ -576,7 +544,7 @@ mod tests {
         let path = nsigma_mc::path_sim::find_critical_path(&design).unwrap();
         let legacy = crate::reference::analyze_path(&timer, &design, &path);
         let compiled = CompiledDesign::compile(&timer, design).unwrap();
-        let fast = compiled.analyze_path(&timer, &path, &mut QueryScratch::new());
+        let fast = compiled.analyze_path(&timer, &path);
         assert_eq!(legacy, fast);
     }
 

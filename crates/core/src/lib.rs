@@ -15,8 +15,8 @@
 //!   following Pelgrom's √(stack·strength) law, normalized to the FO4
 //!   inverter;
 //! * [`sta`] — the N-sigma timer build: characterization-driven
-//!   calibration, the interned cell-id table, and the sharded
-//!   stage-quantile cache;
+//!   calibration, the interned cell-id table, and the allocation-free
+//!   per-stage evaluation (eqs. 1–3 then Table I) every engine calls;
 //! * [`session`] — **the** query engine: [`TimingSession`] owns a compiled
 //!   design plus scratch arenas and exposes whole-design/path/ranked-path
 //!   analysis, cone-limited ECO resizes, and SDF export with typed

@@ -18,14 +18,13 @@
 //! every production caller routes through this module.
 
 use crate::compiled::{CompiledDesign, QueryScratch};
-use crate::sta::{CacheStats, NsigmaTimer, PathTiming};
+use crate::sta::{NsigmaTimer, PathTiming};
 use crate::stat_max::MergeRule;
 use nsigma_mc::design::Design;
 use nsigma_netlist::ir::{GateId, NetDriver, NetId};
 use nsigma_netlist::topo::Path;
 use nsigma_stats::quantile::{QuantileSet, SigmaLevel};
 use std::borrow::Borrow;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Tolerance below which an arrival/slew change does not propagate during
@@ -144,10 +143,6 @@ pub struct TimingSession<B: Borrow<NsigmaTimer> = Arc<NsigmaTimer>> {
     /// Pool of scratch arenas for `&self` queries; one per concurrently
     /// querying thread, grown on demand and reused afterwards.
     scratch: Mutex<Vec<QueryScratch>>,
-    /// Stage-cache lookups this session answered from the shared cache.
-    cache_hits: AtomicU64,
-    /// Stage-cache lookups this session had to evaluate.
-    cache_misses: AtomicU64,
 }
 
 impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
@@ -177,8 +172,6 @@ impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
             dirty_net: vec![false; nets],
             last_recompute: 0,
             scratch: Mutex::new(Vec::new()),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
         };
         this.recompute(true);
         Ok(this)
@@ -204,8 +197,8 @@ impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
         self.rule
     }
 
-    /// Runs `f` with a scratch arena from the pool, folding the arena's
-    /// stage-cache counters into the session totals afterwards.
+    /// Runs `f` with a scratch arena from the pool, returning the arena
+    /// afterwards.
     fn with_scratch<T>(&self, f: impl FnOnce(&mut QueryScratch) -> T) -> T {
         let mut scratch = self
             .scratch
@@ -214,9 +207,6 @@ impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
             .pop()
             .unwrap_or_default();
         let out = f(&mut scratch);
-        let (hits, misses) = scratch.take_cache_counters();
-        self.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.cache_misses.fetch_add(misses, Ordering::Relaxed);
         self.scratch
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -260,7 +250,7 @@ impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
                 });
             }
         }
-        Ok(self.with_scratch(|s| self.compiled.analyze_path(self.timer.borrow(), path, s)))
+        Ok(self.compiled.analyze_path(self.timer.borrow(), path))
     }
 
     /// The `k` worst paths by nominal stage weights, worst first.
@@ -329,18 +319,6 @@ impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
     /// Gates recomputed by the most recent resize (diagnostics).
     pub fn last_recompute_count(&self) -> usize {
         self.last_recompute
-    }
-
-    /// Stage-cache traffic attributable to this session alone (the cache
-    /// itself is shared timer-wide; `entries` is therefore reported as
-    /// zero here — read global occupancy from
-    /// [`NsigmaTimer::cache_stats`]).
-    pub fn cache_counters(&self) -> CacheStats {
-        CacheStats {
-            hits: self.cache_hits.load(Ordering::Relaxed),
-            misses: self.cache_misses.load(Ordering::Relaxed),
-            entries: 0,
-        }
     }
 
     /// SDF export of the whole design as analyzed by the timer. Infallible
@@ -416,8 +394,6 @@ impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
     /// resize allocates nothing. Counts the recomputed gates.
     fn recompute(&mut self, full: bool) -> usize {
         let mut count = 0;
-        let mut hits = 0u64;
-        let mut misses = 0u64;
         for idx in 0..self.compiled.order().len() {
             let g = self.compiled.order()[idx];
             let gi = g.index();
@@ -433,12 +409,7 @@ impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
                 continue;
             }
             count += 1;
-            let (net, new_arrival, new_slew, hit) = self.evaluate_gate(g);
-            if hit {
-                hits += 1;
-            } else {
-                misses += 1;
-            }
+            let (net, new_arrival, new_slew) = self.evaluate_gate(g);
             let changed = (new_arrival[SigmaLevel::PlusThree]
                 - self.arrival[net.index()][SigmaLevel::PlusThree])
                 .abs()
@@ -454,15 +425,12 @@ impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
         self.seed_gate.iter_mut().for_each(|f| *f = false);
         self.dirty_net.iter_mut().for_each(|f| *f = false);
         self.last_recompute = count;
-        *self.cache_hits.get_mut() += hits;
-        *self.cache_misses.get_mut() += misses;
         count
     }
 
     /// One gate's block-based update (same math as `analyze_design_with`),
-    /// read entirely from the compiled arrays. The final flag reports
-    /// whether the stage lookup hit the shared cache.
-    fn evaluate_gate(&self, g: GateId) -> (NetId, QuantileSet, f64, bool) {
+    /// read entirely from the compiled arrays.
+    fn evaluate_gate(&self, g: GateId) -> (NetId, QuantileSet, f64) {
         let timer = self.timer.borrow();
         let gi = g.index();
         let net = NetId::from_index(self.compiled.csr().gate_output[gi] as usize);
@@ -487,8 +455,8 @@ impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
             }
         }
 
-        let (cell_q, out_slew, hit) =
-            timer.stage_cell_quantiles_probe(self.compiled.gate_cal(g), in_slew, load);
+        let (cell_q, out_slew) =
+            timer.stage_cell_quantiles_id(self.compiled.gate_cal(g), in_slew, load);
 
         // Wire quantiles toward the worst sink (consistent with the
         // block-based convention of `analyze_design_with`), precomputed at
@@ -497,7 +465,7 @@ impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
 
         let arrival = in_arrival.add(&cell_q).add(&wire_q);
         let slew = (out_slew + 2.0 * wire_mean).max(0.0);
-        (net, arrival, slew, hit)
+        (net, arrival, slew)
     }
 }
 
@@ -682,7 +650,7 @@ mod tests {
     }
 
     #[test]
-    fn session_queries_match_reference_and_count_cache_traffic() {
+    fn session_queries_match_reference() {
         let (timer, design) = setup();
         let session = TimingSession::new(&timer, design.clone(), MergeRule::Pessimistic).unwrap();
 
@@ -697,12 +665,5 @@ mod tests {
         let (path, timing) = session.critical_path().unwrap();
         let reference_timing = reference::analyze_path(&timer, &design, &path);
         assert_eq!(timing, reference_timing);
-
-        let counters = session.cache_counters();
-        let gates = design.netlist.num_gates() as u64;
-        // Build pass + late + early + path stages, each one lookup/gate
-        // (the path is shorter than the whole design).
-        assert!(counters.hits + counters.misses >= 3 * gates);
-        assert!(counters.hits > 0, "steady-state session queries must hit");
     }
 }

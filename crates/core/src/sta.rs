@@ -11,8 +11,10 @@
 //!
 //! The timer itself exposes no design queries: analysis goes through
 //! [`crate::session::TimingSession`] (production) or [`crate::reference`]
-//! (the differential-test oracle). This module owns the calibrated model,
-//! the interned cell-id table, and the sharded stage-quantile cache.
+//! (the differential-test oracle). This module owns the calibrated model
+//! and the interned cell-id table. A stage is evaluated directly on every
+//! call — [`NsigmaTimer::stage_cell_quantiles_id`] allocates nothing and
+//! holds no lock — so the timer is plain shared data.
 
 use crate::calibration::{MomentCalibration, C_REF, S_REF};
 use crate::cell_model::CellQuantileModel;
@@ -25,8 +27,6 @@ use nsigma_stats::quantile::QuantileSet;
 use nsigma_stats::regression::FitError;
 use nsigma_stats::rng::SeedStream;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
 
 /// Configuration for building a timer.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,67 +106,6 @@ impl From<FitError> for BuildTimerError {
     }
 }
 
-/// Snapshot of the timer's stage-quantile cache counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that had to evaluate the model.
-    pub misses: u64,
-    /// Distinct `(cell, slew, load)` entries currently cached.
-    pub entries: u64,
-}
-
-impl CacheStats {
-    /// Hit fraction in `[0, 1]`; zero when no lookups happened yet.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Cache key: interned cell id plus the exact bit patterns of the operating
-/// point, so a hit returns the identical `f64`s a fresh evaluation would.
-type StageKey = (u32, u64, u64);
-
-/// Number of stage-cache shards. A power of two so shard selection is a
-/// mask; 64 shards keep eight concurrent workers from colliding on one
-/// lock while staying small enough that `cache_stats` stays cheap.
-const CACHE_SHARDS: usize = 64;
-
-/// One shard of the stage-quantile cache. Hit/miss counters live per
-/// shard so lookups never contend on a global atomic pair.
-struct CacheShard {
-    map: RwLock<HashMap<StageKey, (QuantileSet, f64)>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl CacheShard {
-    fn new() -> Self {
-        Self {
-            map: RwLock::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-}
-
-/// FNV-1a over the key's raw words, folded so the power-of-two mask sees
-/// avalanche bits rather than the low bits of a float payload.
-fn shard_index(key: &StageKey) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in [u64::from(key.0), key.1, key.2] {
-        h ^= w;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    ((h ^ (h >> 32)) as usize) & (CACHE_SHARDS - 1)
-}
-
 /// The N-sigma statistical timer.
 pub struct NsigmaTimer {
     tech: Technology,
@@ -179,11 +118,6 @@ pub struct NsigmaTimer {
     cal_table: Vec<MomentCalibration>,
     wire_model: WireVariabilityModel,
     input_slew: f64,
-    /// Memoized per-stage `(cell quantiles, raw output slew)` keyed on the
-    /// exact operating point. The model is a pure function of the key, so
-    /// cached answers are bit-identical to recomputed ones. Sharded so
-    /// concurrent queries don't serialize on one lock.
-    stage_cache: Box<[CacheShard]>,
 }
 
 impl NsigmaTimer {
@@ -302,7 +236,6 @@ impl NsigmaTimer {
             cal_table,
             wire_model,
             input_slew,
-            stage_cache: (0..CACHE_SHARDS).map(|_| CacheShard::new()).collect(),
         }
     }
 
@@ -322,9 +255,9 @@ impl NsigmaTimer {
         &self.cal_table[id as usize]
     }
 
-    /// The stage-quantile cell evaluation, memoized on the exact operating
-    /// point. Returns the cell delay quantiles and the *raw* output slew
-    /// (before wire-mean adjustment) for `(cell, input slew, load)`.
+    /// The stage-quantile cell evaluation: the cell delay quantiles and the
+    /// *raw* output slew (before wire-mean adjustment) for
+    /// `(cell, input slew, load)`.
     ///
     /// # Panics
     ///
@@ -342,71 +275,20 @@ impl NsigmaTimer {
     }
 
     /// Hot-path variant of [`NsigmaTimer::stage_cell_quantiles`] keyed on an
-    /// interned cell id — no string allocation or hashing per lookup.
+    /// interned cell id: eqs. (1)–(3) calibrate the moments at the
+    /// operating point, Table I turns them into quantiles. A pure function
+    /// of its arguments: no allocation, no lock, no string hashing.
     ///
     /// # Panics
     ///
     /// Panics if `id` was not produced by this timer's `cell_id`.
     pub fn stage_cell_quantiles_id(&self, id: u32, slew: f64, load: f64) -> (QuantileSet, f64) {
-        let (q, s, _) = self.stage_cell_quantiles_probe(id, slew, load);
-        (q, s)
-    }
-
-    /// [`NsigmaTimer::stage_cell_quantiles_id`] plus a hit flag: `true`
-    /// when the lookup was answered from the shared stage cache, `false`
-    /// when the model had to be evaluated. Sessions use the flag to
-    /// attribute cache traffic per design.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not produced by this timer's `cell_id`.
-    pub fn stage_cell_quantiles_probe(
-        &self,
-        id: u32,
-        slew: f64,
-        load: f64,
-    ) -> (QuantileSet, f64, bool) {
-        let key: StageKey = (id, slew.to_bits(), load.to_bits());
-        let shard = &self.stage_cache[shard_index(&key)];
-        if let Some(&cached) = shard
-            .map
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key)
-        {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-            return (cached.0, cached.1, true);
-        }
-        shard.misses.fetch_add(1, Ordering::Relaxed);
         let cal = &self.cal_table[id as usize];
         let moments = cal.moments_at(slew, load);
-        let value = (
+        (
             self.quantile_model.predict(&moments),
             cal.output_slew_at(slew, load),
-        );
-        shard
-            .map
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key, value);
-        (value.0, value.1, false)
-    }
-
-    /// Cache counters since construction (the cache survives for the
-    /// timer's lifetime; long-lived daemons report these via `stats`),
-    /// summed over all shards.
-    pub fn cache_stats(&self) -> CacheStats {
-        let mut stats = CacheStats::default();
-        for shard in self.stage_cache.iter() {
-            stats.hits += shard.hits.load(Ordering::Relaxed);
-            stats.misses += shard.misses.load(Ordering::Relaxed);
-            stats.entries += shard
-                .map
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .len() as u64;
-        }
-        stats
+        )
     }
 
     /// The process technology the timer was characterized for.
@@ -476,6 +358,7 @@ mod tests {
     use super::*;
     use nsigma_netlist::generators::arith::ripple_adder;
     use nsigma_netlist::mapping::map_to_cells;
+    use nsigma_stats::moments::Moments;
 
     /// A small library restricted to what the test designs use keeps the
     /// build under a second.
@@ -526,25 +409,136 @@ mod tests {
         assert!(s.contains("NsigmaTimer"));
     }
 
+    /// A timer over literal coefficients: one made-up cell whose
+    /// calibration and Table I model are fixed numbers, not a fit.
+    fn literal_timer() -> NsigmaTimer {
+        let reference = Moments {
+            mean: 12.5e-12,
+            std: 1.1e-12,
+            skewness: 0.35,
+            kurtosis: 3.4,
+            n: 4000,
+        };
+        let cal = MomentCalibration::from_raw(
+            S_REF,
+            C_REF,
+            reference,
+            vec![9.5e-12, 4.2e-12, 1.3e-12],
+            vec![0.8e-12, 0.35e-12, 0.11e-12],
+            vec![0.12, -0.05, 0.031, 0.007, -0.0042, 0.0009, 0.017],
+            vec![0.21, -0.08, 0.044, 0.012, -0.0061, 0.0013, 0.025],
+            vec![35e-12, 18e-12, 6e-12],
+            14e-12,
+        );
+        let model = CellQuantileModel::from_coefficients([
+            vec![-0.21, 0.052, -0.031],
+            vec![-0.11, 0.043, 0.018, -0.027],
+            vec![0.06, -0.14, 0.009],
+            vec![0.01, -0.055, 0.004],
+            vec![-0.05, 0.12, -0.011],
+            vec![0.09, 0.31, -0.024, 0.038],
+            vec![0.27, 0.061, 0.072],
+        ]);
+        let calibrations = HashMap::from([("INVx1".to_string(), cal)]);
+        NsigmaTimer::from_parts(
+            Technology::synthetic_28nm(),
+            model,
+            calibrations,
+            WireVariabilityModel::elmore_only(),
+            10e-12,
+        )
+    }
+
+    /// `(slew, load)` probes: the reference condition, an off-grid
+    /// interior point, a point below the reference on both axes, and an
+    /// extrapolation past the characterized grid.
+    const PINNED_POINTS: [(f64, f64); 4] = [
+        (10e-12, 0.4e-15),
+        (75e-12, 1.5e-15),
+        (3.3e-12, 0.07e-15),
+        (420e-12, 9.1e-15),
+    ];
+
+    /// Bits of `moments_at` (μ, σ, γ, κ), `output_slew_at` and the seven
+    /// `predict` quantiles (−3σ…+3σ) at each of [`PINNED_POINTS`].
+    const PINNED_BITS: [[u64; 12]; 4] = [
+        [
+            0x3dab7cdfd9d7bdbb,
+            0x3d7359f5a7b28179,
+            0x3fd6666666666666,
+            0x400b333333333333,
+            0x3daec94ca210599e,
+            0x3da40fbc97e9e03e,
+            0x3da67d96b29e8db3,
+            0x3da91f12c24561fb,
+            0x3dab7a1810e79f94,
+            0x3daddb0f3ac5fb6f,
+            0x3db05be0cea5ce91,
+            0x3db20da598486e9b,
+        ],
+        [
+            0x3dbaa2972fd04695,
+            0x3d8253f67250402d,
+            0x3fda087859adf13f,
+            0x400bff0edf96d3ec,
+            0x3dd0b93c015c7282,
+            0x3db398c99d99562d,
+            0x3db5e5bf1cbc995e,
+            0x3db8616642e90320,
+            0x3dba9eac81027ced,
+            0x3dbce3349f2c1eb6,
+            0x3dbfa4c9a4d84bda,
+            0x3dc16cdeec52d20e,
+        ],
+        [
+            0x3da71a7d2f982aec,
+            0x3d706b5aa626d24a,
+            0x3fd7056d5bcd92ed,
+            0x400b5092a25b6450,
+            0x3d99b7e13dccdebc,
+            0x3da0cd2cc54b1e73,
+            0x3da2dcd9752fdeac,
+            0x3da517f16cffe4ca,
+            0x3da717edf9326e3c,
+            0x3da91d37f6b56cf7,
+            0x3dab8caba6338897,
+            0x3dae6c80ced0654d,
+        ],
+        [
+            0x3de277684c8f9b26,
+            0x3da8f4c008f04915,
+            0x4002f0ab71327243,
+            0x401a2945ec735b40,
+            0x3e0225648481a8ef,
+            0x3dda7b97ab1035b2,
+            0x3dddbb3950a35fee,
+            0x3de0b35db00e0cec,
+            0x3de260234db25019,
+            0x3de4202b5c15db1f,
+            0x3de78b43a6f3924d,
+            0x3de9ed93010cabd8,
+        ],
+    ];
+
     #[test]
-    fn cache_stats_survive_a_poisoned_shard() {
-        let lib = small_lib();
-        let timer = quick_timer(&lib);
-        let (slew, load) = (20e-12, 2e-15);
-        let first = timer.stage_cell_quantiles_id(0, slew, load);
-        let shard = &timer.stage_cache[shard_index(&(0, slew.to_bits(), load.to_bits()))];
-        std::thread::scope(|s| {
-            let poisoner = s.spawn(|| {
-                let _guard = shard.map.write().unwrap();
-                panic!("poison the shard");
-            });
-            assert!(poisoner.join().is_err());
-        });
-        assert!(shard.map.is_poisoned());
-        let stats = timer.cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 1));
-        // Lookups keep answering from the poisoned shard.
-        assert_eq!(timer.stage_cell_quantiles_id(0, slew, load), first);
-        assert_eq!(timer.cache_stats().hits, 1);
+    fn stage_model_bits_are_pinned() {
+        let timer = literal_timer();
+        let id = timer.cell_id("INVx1").unwrap();
+        let cal = timer.calibration_by_id(id);
+        for (&(slew, load), pinned) in PINNED_POINTS.iter().zip(&PINNED_BITS) {
+            let m = cal.moments_at(slew, load);
+            let out_slew = cal.output_slew_at(slew, load);
+            let q = timer.quantile_model().predict(&m);
+            let mut bits = vec![
+                m.mean.to_bits(),
+                m.std.to_bits(),
+                m.skewness.to_bits(),
+                m.kurtosis.to_bits(),
+                out_slew.to_bits(),
+            ];
+            bits.extend(q.as_array().map(f64::to_bits));
+            assert_eq!(bits, pinned, "stage model at ({slew:e}, {load:e})");
+            assert_eq!(timer.stage_cell_quantiles_id(id, slew, load), (q, out_slew));
+        }
     }
 }

@@ -32,9 +32,9 @@
 //! Design notes:
 //!
 //! * **Bit-for-bit answers.** Numbers are serialized with Rust's shortest
-//!   round-trip formatting, and per-stage quantile evaluation is memoized
-//!   in a cache keyed on exact input bits — so a remote answer equals an
-//!   in-process [`nsigma_core::NsigmaTimer`] answer under `==`.
+//!   round-trip formatting, and the stage model is a pure function of
+//!   `(cell, slew, load)` — so a remote answer equals an in-process
+//!   [`nsigma_core::NsigmaTimer`] answer under `==`.
 //! * **Backpressure, not buffering.** Jobs flow through a bounded
 //!   crossbeam channel; a full queue answers `overloaded` immediately, and
 //!   jobs that outlive their queue deadline answer `deadline` instead of

@@ -4,7 +4,6 @@
 //! lock-free on the counter path; only the histogram takes a short mutex.
 
 use crate::json::{obj, Value};
-use nsigma_core::sta::CacheStats;
 use nsigma_stats::histogram::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -175,25 +174,6 @@ impl Metrics {
             ),
             ("endpoints", Value::Obj(per_endpoint)),
         ])
-    }
-
-    /// [`Metrics::snapshot`] extended with the timer's sharded stage-cache
-    /// counters, so the cache is observable next to the per-endpoint
-    /// numbers it explains.
-    pub fn snapshot_with_cache(&self, cache: &CacheStats) -> Value {
-        let Value::Obj(mut fields) = self.snapshot() else {
-            unreachable!("snapshot is an object");
-        };
-        fields.push((
-            "stage_cache".to_string(),
-            obj(vec![
-                ("hits", Value::Num(cache.hits as f64)),
-                ("misses", Value::Num(cache.misses as f64)),
-                ("entries", Value::Num(cache.entries as f64)),
-                ("hit_rate", Value::Num(cache.hit_rate())),
-            ]),
-        ));
-        Value::Obj(fields)
     }
 }
 

@@ -444,28 +444,12 @@ impl Engine {
     }
 
     fn stats(&self) -> Vec<(&'static str, Value)> {
-        let cache = self.timer.cache_stats();
         let (depth, capacity) = self
             .pool
             .get()
             .and_then(Weak::upgrade)
             .map(|p| (p.queued(), p.capacity()))
             .unwrap_or((0, 0));
-        // Per-design stage-cache traffic, attributed by each session's own
-        // lookup counters (the global `stage_cache` object mixes designs).
-        let mut design_cache: Vec<(String, Value)> = Vec::new();
-        self.store.for_each(|name, slot| {
-            let session = slot.read().unwrap_or_else(PoisonError::into_inner);
-            let c = session.cache_counters();
-            design_cache.push((
-                name.to_string(),
-                Value::Obj(vec![
-                    ("hits".to_string(), Value::Num(c.hits as f64)),
-                    ("misses".to_string(), Value::Num(c.misses as f64)),
-                    ("hit_rate".to_string(), Value::Num(c.hit_rate())),
-                ]),
-            ));
-        });
         vec![
             ("uptime_s", Value::Num(self.started.elapsed().as_secs_f64())),
             ("threads", Value::Num(self.threads as f64)),
@@ -476,17 +460,7 @@ impl Engine {
             ),
             ("queue_depth", Value::Num(depth as f64)),
             ("queue_capacity", Value::Num(capacity as f64)),
-            (
-                "stage_cache",
-                Value::Obj(vec![
-                    ("hits".to_string(), Value::Num(cache.hits as f64)),
-                    ("misses".to_string(), Value::Num(cache.misses as f64)),
-                    ("entries".to_string(), Value::Num(cache.entries as f64)),
-                    ("hit_rate".to_string(), Value::Num(cache.hit_rate())),
-                ]),
-            ),
-            ("design_cache", Value::Obj(design_cache)),
-            ("metrics", self.metrics.snapshot_with_cache(&cache)),
+            ("metrics", self.metrics.snapshot()),
         ]
     }
 

@@ -62,18 +62,6 @@ impl DesignStore {
             .cloned()
     }
 
-    /// Visits every registered design slot in shard order (name order is
-    /// unspecified). Used by the server's `stats` endpoint for per-design
-    /// cache metrics.
-    pub fn for_each(&self, mut f: impl FnMut(&str, &Arc<DesignSlot>)) {
-        for shard in &self.shards {
-            let map = shard.read().unwrap_or_else(PoisonError::into_inner);
-            for (name, slot) in map.iter() {
-                f(name, slot);
-            }
-        }
-    }
-
     /// Number of registered designs.
     pub fn len(&self) -> usize {
         self.shards
@@ -150,9 +138,6 @@ mod tests {
             assert!(store.insert(&format!("d{i}"), s));
         }
         assert_eq!(store.len(), 8);
-        let mut visited = 0;
-        store.for_each(|_, _| visited += 1);
-        assert_eq!(visited, 8);
         // Every slot borrows the same timer instance.
         let a = store.get("d0").unwrap();
         let b = store.get("d7").unwrap();

@@ -171,8 +171,8 @@ pub fn poly_features(x: f64, degree: usize) -> Vec<f64> {
 
 /// Builds the bivariate cubic-with-cross-term feature row used by the paper's
 /// eq. (3): `[1, Δs, Δc, Δs², Δc², Δs³, Δc³, Δs·Δc]`.
-pub fn cubic_cross_features(ds: f64, dc: f64) -> Vec<f64> {
-    vec![
+pub fn cubic_cross_features(ds: f64, dc: f64) -> [f64; 8] {
+    [
         1.0,
         ds,
         dc,
@@ -186,8 +186,8 @@ pub fn cubic_cross_features(ds: f64, dc: f64) -> Vec<f64> {
 
 /// Builds the bilinear-with-cross-term feature row used by the paper's
 /// eq. (2): `[1, Δs, Δc, Δs·Δc]`.
-pub fn bilinear_cross_features(ds: f64, dc: f64) -> Vec<f64> {
-    vec![1.0, ds, dc, ds * dc]
+pub fn bilinear_cross_features(ds: f64, dc: f64) -> [f64; 4] {
+    [1.0, ds, dc, ds * dc]
 }
 
 /// Fits a univariate polynomial `y ≈ Σ cᵢ xⁱ` of the given degree.
@@ -273,8 +273,8 @@ mod tests {
     #[test]
     fn feature_builders_have_documented_shapes() {
         assert_eq!(poly_features(2.0, 3), vec![1.0, 2.0, 4.0, 8.0]);
-        assert_eq!(bilinear_cross_features(2.0, 3.0), vec![1.0, 2.0, 3.0, 6.0]);
+        assert_eq!(bilinear_cross_features(2.0, 3.0), [1.0, 2.0, 3.0, 6.0]);
         let c = cubic_cross_features(2.0, 3.0);
-        assert_eq!(c, vec![1.0, 2.0, 3.0, 4.0, 9.0, 8.0, 27.0, 6.0]);
+        assert_eq!(c, [1.0, 2.0, 3.0, 4.0, 9.0, 8.0, 27.0, 6.0]);
     }
 }

@@ -92,4 +92,19 @@ case "$daemon_line" in
     ;;
 esac
 
+# Cold-path smoke: perfbench's analyze_eco workload reloads the timer from
+# text, then compiles, analyzes, ranks paths and resizes gates on c432,
+# c1908 and c6288. Every stage there is evaluated from scratch, and its
+# checks compare cold against warm analyze_design bits and require that
+# resizing back after an ECO restores the original answer.
+eco_line=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload analyze_eco --seconds 1 --trace 0 | tail -n 1)
+case "$eco_line" in
+  *'"failed": 0,'*) ;;
+  *)
+    echo "ci: perfbench analyze_eco reported failed checks: $eco_line" >&2
+    exit 1
+    ;;
+esac
+
 echo "ci: all green"

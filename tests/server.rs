@@ -254,14 +254,8 @@ fn concurrent_clients_get_bit_exact_answers() {
     assert_eq!(bad_yield.get("ok").unwrap().as_bool(), Some(false));
     assert_eq!(bad_yield.get("code").unwrap().as_str(), Some("bad_request"));
 
-    // Observability: the shared stage cache has hits (four identical
-    // designs analyzed the same cells), and the latency counters are sane.
+    // Observability: the design count and latency counters are sane.
     let stats = client.request_ok(r#"{"cmd":"stats"}"#).expect("stats");
-    let cache = stats.get("stage_cache").unwrap();
-    assert!(
-        cache.get("hits").unwrap().as_u64().unwrap() > 0,
-        "stage cache must be hit across designs"
-    );
     assert_eq!(stats.get("designs").unwrap().as_u64(), Some(4));
     // The yield engine's cumulative trial counter reflects the two runs.
     let drawn = stats.get("yield_samples_drawn").unwrap().as_u64().unwrap();
@@ -269,20 +263,6 @@ fn concurrent_clients_get_bit_exact_answers() {
         drawn >= 2 * y.get("samples").unwrap().as_u64().unwrap(),
         "yield_samples_drawn = {drawn}"
     );
-    // Per-design cache attribution: every registered design ran its
-    // initial analysis through its session, so each entry reports lookups.
-    let design_cache = stats.get("design_cache").unwrap();
-    for i in 0..n_clients {
-        let entry = design_cache.get(&format!("c432-{i}")).unwrap();
-        let hits = entry.get("hits").unwrap().as_u64().unwrap();
-        let misses = entry.get("misses").unwrap().as_u64().unwrap();
-        assert!(
-            hits + misses > 0,
-            "design c432-{i} must report cache traffic"
-        );
-        let rate = entry.get("hit_rate").unwrap().as_f64().unwrap();
-        assert!((0.0..=1.0).contains(&rate));
-    }
     let metrics = stats.get("metrics").unwrap();
     assert_eq!(metrics.get("bad_requests").unwrap().as_u64(), Some(1));
     let wp = metrics

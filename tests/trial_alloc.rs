@@ -2,7 +2,9 @@
 //! allocator, a one-thread plain `yield_run` of 2n trials makes no more heap
 //! allocations than one of n trials. Per-run set-up (the plan, the scratch,
 //! the worker thread, the report) is the same in both runs, so any
-//! per-trial allocation would show as a difference of at least n.
+//! per-trial allocation would show as a difference of at least n. The
+//! analytic per-stage model the trials are scored against is checked the
+//! same way: evaluating every c432 stage allocates nothing.
 //!
 //! This file holds a single test so no other test thread allocates while
 //! the counter is read.
@@ -79,6 +81,18 @@ fn yield_trials_make_no_heap_allocations() {
     let timer = NsigmaTimer::build(&tech, &lib, &cfg).expect("timer builds");
     let netlist = map_to_cells(&Iscas85::C432.generate(), &lib).expect("mapping");
     let design = Design::with_generated_parasitics(tech, lib, netlist, 7);
+    let stages: Vec<(u32, f64)> = design
+        .netlist
+        .gate_ids()
+        .map(|g| {
+            let gate = design.netlist.gate(g);
+            let id = timer.cell_id(design.lib.cell(gate.cell).name());
+            (
+                id.expect("cell is calibrated"),
+                design.stage_load_cap(gate.output),
+            )
+        })
+        .collect();
     let session = TimingSession::new(&timer, design, MergeRule::Pessimistic).expect("session");
 
     // Warm-up: the first analysis fills the session's caches.
@@ -99,4 +113,10 @@ fn yield_trials_make_no_heap_allocations() {
         "{per_2n} allocations for {} trials vs {per_n} for {n}: trials allocate",
         2 * n
     );
+
+    let a3 = count();
+    for &(id, load) in &stages {
+        std::hint::black_box(timer.stage_cell_quantiles_id(id, timer.input_slew(), load));
+    }
+    assert_eq!(count() - a3, 0, "stage evaluation allocates");
 }
