@@ -14,13 +14,17 @@
 //! * nominal per-gate path weights: the arc-only weight of the k-worst
 //!   ranking and the arc+Elmore weight of the nominal critical path.
 //!
-//! Queries then allocate nothing: callers pass a [`QueryScratch`] whose
-//! arrival/slew buffers are reused across calls. Every query is
+//! The one production per-gate block-based update lives here:
+//! `CompiledDesign::propagate_gate` merges a gate's fanin arrivals under
+//! a `Bound`, picks the input slew, evaluates the Table I cell quantiles
+//! and adds the worst-sink wire. The session's incremental state, early
+//! analysis and SDF export all go through it; only
+//! [`CompiledDesign::analyze_path`] keeps its own path convention. Both are
 //! bit-identical to the string-keyed oracle in [`crate::reference`] — the
 //! compiled arrays hold exactly the values the reference code recomputes
 //! per call. Production callers do not use this type directly: they go
 //! through [`crate::session::TimingSession`], which owns a compiled design
-//! plus the scratch pool and converts failures into typed
+//! plus the arrival state and converts failures into typed
 //! [`QueryError`]s.
 
 use crate::session::QueryError;
@@ -37,31 +41,42 @@ use nsigma_stats::quantile::{QuantileSet, SigmaLevel};
 /// tree, no sinks, or no driving gate).
 const NO_WIRE: u32 = u32::MAX;
 
-/// Reusable per-worker buffers for compiled queries: arrival/slew staging
-/// for block-based analysis and the k-worst path DP tables. One scratch
-/// per worker thread serves any design; buffers grow to the largest design
-/// seen and are then reused.
-#[derive(Debug, Default)]
-pub struct QueryScratch {
-    arrival: Vec<QuantileSet>,
-    slew: Vec<f64>,
-    /// DP tables for ranked-path queries.
-    pub paths: PathScratch,
+/// Which arrival bound a block-based propagation computes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Bound {
+    /// Latest arrival: fanins merged under the rule, input slew of the
+    /// fanin with the largest +3σ.
+    Late(MergeRule),
+    /// Earliest (hold-side) arrival: elementwise minimum, input slew of
+    /// the fanin with the smallest −3σ.
+    Early,
 }
 
-impl QueryScratch {
-    /// Empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
+impl Bound {
+    fn merge(self, a: &QuantileSet, b: &QuantileSet) -> QuantileSet {
+        match self {
+            Bound::Late(rule) => rule.merge(a, b),
+            Bound::Early => QuantileSet::from_fn(|l| a[l].min(b[l])),
+        }
     }
 
-    /// Resets the staging buffers for a design with `nets` nets.
-    fn reset(&mut self, nets: usize, input_slew: f64) {
-        self.arrival.clear();
-        self.arrival.resize(nets, QuantileSet::default());
-        self.slew.clear();
-        self.slew.resize(nets, input_slew);
+    /// Whether `a` strictly beats `b` as the slew-defining fanin.
+    fn beats(self, a: &QuantileSet, b: &QuantileSet) -> bool {
+        match self {
+            Bound::Late(_) => a[SigmaLevel::PlusThree] > b[SigmaLevel::PlusThree],
+            Bound::Early => a[SigmaLevel::MinusThree] < b[SigmaLevel::MinusThree],
+        }
     }
+}
+
+/// One gate's block-based update: the output net, the cell quantiles at
+/// the resolved input slew, and the net's new arrival and slew.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GateUpdate {
+    pub net: usize,
+    pub cell: QuantileSet,
+    pub arrival: QuantileSet,
+    pub slew: f64,
 }
 
 /// A design compiled against one timer: flat per-gate/per-net model data
@@ -156,30 +171,26 @@ impl CompiledDesign {
         &self.csr
     }
 
-    /// The interned timer calibration id of a gate.
-    pub fn gate_cal(&self, g: GateId) -> u32 {
-        self.gate_cal[g.index()]
-    }
-
-    /// The precomputed effective load of a net.
-    pub fn net_load(&self, net: NetId) -> f64 {
-        self.net_load[net.index()]
-    }
-
-    /// The precomputed nominal path weight of a gate.
-    pub fn path_weight(&self, g: GateId) -> f64 {
-        self.path_weight[g.index()]
-    }
-
     /// The precomputed `(wire quantiles, mean wire delay)` toward a net's
     /// worst sink — the block-based convention. Zero for wireless nets.
-    pub fn worst_sink_wire(&self, net: NetId) -> (QuantileSet, f64) {
-        let pos = self.net_worst_sink[net.index()];
+    fn worst_sink_wire(&self, net: usize) -> (QuantileSet, f64) {
+        let pos = self.net_worst_sink[net];
         if pos == NO_WIRE {
             return (QuantileSet::default(), 0.0);
         }
-        let s = self.csr.fanout_start[net.index()] as usize + pos as usize;
+        let s = self.csr.fanout_start[net] as usize + pos as usize;
         (self.sink_wire_q[s], self.sink_wire_mean[s])
+    }
+
+    /// The precomputed wire quantiles of every sink of a gate-driven net,
+    /// in load order; empty for nets without wire data.
+    pub(crate) fn sink_wires(&self, net: NetId) -> &[QuantileSet] {
+        if self.net_worst_sink[net.index()] == NO_WIRE {
+            return &[];
+        }
+        let r = self.csr.fanout_start[net.index()] as usize
+            ..self.csr.fanout_start[net.index() + 1] as usize;
+        &self.sink_wire_q[r]
     }
 
     /// The precomputed wire data toward the sink feeding `next_gate` (first
@@ -294,134 +305,77 @@ impl CompiledDesign {
         Ok(())
     }
 
-    /// Block-based whole-design analysis with the default pessimistic
-    /// merge, allocating a fresh scratch. See
-    /// [`CompiledDesign::analyze_design_with`].
+    /// One gate's block-based update over the per-net `arrival`/`slew`
+    /// state — the single production copy of the eq. (10) node update.
     ///
-    /// # Panics
-    ///
-    /// Panics if the design has no gates.
-    pub fn analyze_design(&self, timer: &NsigmaTimer) -> QuantileSet {
-        self.analyze_design_with(timer, MergeRule::Pessimistic, &mut QueryScratch::new())
-    }
-
-    /// Compiled counterpart of [`crate::reference::analyze_design_with`]:
-    /// bit-identical arrivals, no per-query allocation or name hashing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the design has no gates.
-    pub fn analyze_design_with(
+    /// Merges the fanin arrivals under `bound` (the first fanin taken
+    /// as-is, later ones merged in) and takes the input slew of the first
+    /// fanin with the largest +3σ (late) or smallest −3σ (early) — the
+    /// idioms of [`crate::reference`], so results stay bit-identical. Then
+    /// adds the Table I cell quantiles and the worst-sink eq. (9) wire
+    /// quantiles, and degrades the output slew by twice the mean wire delay.
+    pub(crate) fn propagate_gate(
         &self,
         timer: &NsigmaTimer,
-        rule: MergeRule,
-        scratch: &mut QueryScratch,
-    ) -> QuantileSet {
-        assert!(self.design.netlist.num_gates() > 0, "design has no gates");
-        let input_slew = timer.input_slew();
-        scratch.reset(self.design.netlist.num_nets(), input_slew);
+        bound: Bound,
+        g: GateId,
+        arrival: &[QuantileSet],
+        slew: &[f64],
+    ) -> GateUpdate {
+        let gi = g.index();
+        let net = self.csr.gate_output[gi] as usize;
 
-        for &g in &self.csr.order {
-            let gi = g.index();
-            let net = self.csr.gate_output[gi] as usize;
-            let load = self.net_load[net];
-
-            // Merge fanin arrivals (elementwise max) and take the slew of
-            // the worst fanin by +3σ — same idiom as the legacy loop.
-            let mut in_arrival = QuantileSet::default();
-            let mut in_slew = input_slew;
-            let mut worst = f64::NEG_INFINITY;
-            for &i in self.csr.fanins(gi) {
-                let a = &scratch.arrival[i as usize];
-                in_arrival = if worst == f64::NEG_INFINITY {
-                    *a
-                } else {
-                    rule.merge(&in_arrival, a)
-                };
-                let key = a[SigmaLevel::PlusThree];
-                if key > worst {
-                    worst = key;
-                    in_slew = scratch.slew[i as usize];
-                }
-            }
-
-            let (cell_q, out_slew) =
-                timer.stage_cell_quantiles_id(self.gate_cal[gi], in_slew, load);
-            let (wire_q, wire_mean) = self.worst_sink_wire(NetId::from_index(net));
-
-            scratch.arrival[net] = in_arrival.add(&cell_q).add(&wire_q);
-            scratch.slew[net] = (out_slew + 2.0 * wire_mean).max(0.0);
-        }
-
-        let mut worst: Option<QuantileSet> = None;
-        for &o in self.design.netlist.outputs() {
-            if matches!(self.design.netlist.net(o).driver, NetDriver::Gate(_)) {
-                let a = scratch.arrival[o.index()];
-                worst = Some(match worst {
-                    Some(w) => rule.merge(&w, &a),
-                    None => a,
-                });
+        let mut merged: Option<QuantileSet> = None;
+        let mut slew_key: Option<&QuantileSet> = None;
+        let mut in_slew = timer.input_slew();
+        for &i in self.csr.fanins(gi) {
+            let a = &arrival[i as usize];
+            merged = Some(match merged {
+                Some(m) => bound.merge(&m, a),
+                None => *a,
+            });
+            if slew_key.is_none_or(|k| bound.beats(a, k)) {
+                slew_key = Some(a);
+                in_slew = slew[i as usize];
             }
         }
-        worst.unwrap_or_default()
+
+        let (cell, out_slew) =
+            timer.stage_cell_quantiles_id(self.gate_cal[gi], in_slew, self.net_load[net]);
+        let (wire_q, wire_mean) = self.worst_sink_wire(net);
+        GateUpdate {
+            net,
+            cell,
+            arrival: merged.unwrap_or_default().add(&cell).add(&wire_q),
+            slew: (out_slew + 2.0 * wire_mean).max(0.0),
+        }
     }
 
-    /// Compiled counterpart of [`crate::reference::analyze_design_early`]
-    /// (hold-side earliest arrival), bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the design has no gates.
-    pub fn analyze_design_early(
-        &self,
-        timer: &NsigmaTimer,
-        scratch: &mut QueryScratch,
-    ) -> QuantileSet {
-        assert!(self.design.netlist.num_gates() > 0, "design has no gates");
-        let input_slew = timer.input_slew();
-        scratch.reset(self.design.netlist.num_nets(), input_slew);
-
+    /// A full propagation under `bound` over fresh buffers, merged at the
+    /// primary outputs — the session's early analysis.
+    pub(crate) fn analyze_fresh(&self, timer: &NsigmaTimer, bound: Bound) -> QuantileSet {
+        let nets = self.design.netlist.num_nets();
+        let mut arrival = vec![QuantileSet::default(); nets];
+        let mut slew = vec![timer.input_slew(); nets];
         for &g in &self.csr.order {
-            let gi = g.index();
-            let net = self.csr.gate_output[gi] as usize;
-            let load = self.net_load[net];
-
-            let mut in_arrival: Option<QuantileSet> = None;
-            let mut in_slew = input_slew;
-            let mut best = f64::INFINITY;
-            for &i in self.csr.fanins(gi) {
-                let a = scratch.arrival[i as usize];
-                in_arrival = Some(match in_arrival {
-                    Some(w) => QuantileSet::from_fn(|l| w[l].min(a[l])),
-                    None => a,
-                });
-                let key = a[SigmaLevel::MinusThree];
-                if key < best {
-                    best = key;
-                    in_slew = scratch.slew[i as usize];
-                }
-            }
-            let in_arrival = in_arrival.unwrap_or_default();
-
-            let (cell_q, out_slew) =
-                timer.stage_cell_quantiles_id(self.gate_cal[gi], in_slew, load);
-            let (wire_q, wire_mean) = self.worst_sink_wire(NetId::from_index(net));
-
-            scratch.arrival[net] = in_arrival.add(&cell_q).add(&wire_q);
-            scratch.slew[net] = (out_slew + 2.0 * wire_mean).max(0.0);
+            let u = self.propagate_gate(timer, bound, g, &arrival, &slew);
+            arrival[u.net] = u.arrival;
+            slew[u.net] = u.slew;
         }
+        self.merge_outputs(bound, &arrival)
+    }
 
-        let mut earliest: Option<QuantileSet> = None;
-        for &o in self.design.netlist.outputs() {
-            if matches!(self.design.netlist.net(o).driver, NetDriver::Gate(_)) {
-                let a = scratch.arrival[o.index()];
-                earliest = Some(match earliest {
-                    Some(w) => QuantileSet::from_fn(|l| w[l].min(a[l])),
-                    None => a,
-                });
-            }
-        }
-        earliest.unwrap_or_default()
+    /// Merges the gate-driven primary-output arrivals under `bound`: the
+    /// design's worst (late) or earliest (early) output quantiles.
+    pub(crate) fn merge_outputs(&self, bound: Bound, arrival: &[QuantileSet]) -> QuantileSet {
+        let netlist = &self.design.netlist;
+        netlist
+            .outputs()
+            .iter()
+            .filter(|&&o| matches!(netlist.net(o).driver, NetDriver::Gate(_)))
+            .map(|o| arrival[o.index()])
+            .reduce(|w, a| bound.merge(&w, &a))
+            .unwrap_or_default()
     }
 
     /// Compiled counterpart of [`crate::reference::analyze_path`] (eq. 10
@@ -523,10 +477,12 @@ mod tests {
     #[test]
     fn compiled_design_analysis_is_bit_identical() {
         let (timer, design) = setup();
-        let legacy = crate::reference::analyze_design(&timer, &design);
-        let compiled = CompiledDesign::compile(&timer, design).unwrap();
-        let fast = compiled.analyze_design(&timer);
-        assert_eq!(legacy.as_array(), fast.as_array());
+        let compiled = CompiledDesign::compile(&timer, design.clone()).unwrap();
+        for rule in [MergeRule::Pessimistic, MergeRule::Clark { rho: 0.3 }] {
+            let legacy = crate::reference::analyze_design_with(&timer, &design, rule);
+            let fast = compiled.analyze_fresh(&timer, Bound::Late(rule));
+            assert_eq!(legacy.as_array(), fast.as_array(), "{rule:?}");
+        }
     }
 
     #[test]
@@ -534,7 +490,7 @@ mod tests {
         let (timer, design) = setup();
         let legacy = crate::reference::analyze_design_early(&timer, &design);
         let compiled = CompiledDesign::compile(&timer, design).unwrap();
-        let fast = compiled.analyze_design_early(&timer, &mut QueryScratch::new());
+        let fast = compiled.analyze_fresh(&timer, Bound::Early);
         assert_eq!(legacy.as_array(), fast.as_array());
     }
 
@@ -583,12 +539,9 @@ mod tests {
     fn scratch_reuse_does_not_change_results() {
         let (timer, design) = setup();
         let compiled = CompiledDesign::compile(&timer, design).unwrap();
-        let mut scratch = QueryScratch::new();
-        let a = compiled.analyze_design_with(&timer, MergeRule::Pessimistic, &mut scratch);
-        let b = compiled.analyze_design_with(&timer, MergeRule::Pessimistic, &mut scratch);
-        assert_eq!(a.as_array(), b.as_array());
-        let paths1 = compiled.ranked_paths(4, &mut scratch.paths);
-        let paths2 = compiled.ranked_paths(4, &mut scratch.paths);
+        let mut scratch = PathScratch::default();
+        let paths1 = compiled.ranked_paths(4, &mut scratch);
+        let paths2 = compiled.ranked_paths(4, &mut scratch);
         assert_eq!(paths1, paths2);
     }
 }

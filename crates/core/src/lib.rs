@@ -18,19 +18,22 @@
 //!   calibration, the interned cell-id table, and the allocation-free
 //!   per-stage evaluation (eqs. 1–3 then Table I) every engine calls;
 //! * [`session`] — **the** query engine: [`TimingSession`] owns a compiled
-//!   design plus scratch arenas and exposes whole-design/path/ranked-path
-//!   analysis, cone-limited ECO resizes, and SDF export with typed
+//!   design plus the per-net arrival state that answers whole-design
+//!   analysis, and exposes path/ranked-path analysis, cone-limited ECO
+//!   resizes that keep that state exact, and SDF export with typed
 //!   [`QueryError`] results;
 //! * [`reference`] — the legacy string-keyed implementation, kept only as
 //!   the oracle of the differential-equivalence test suite;
 //! * [`extended`] — the ±6σ extension the paper mentions (Cornish–Fisher)
 //!   and timing-yield curves built from the sigma levels;
-//! * [`sdf`] — SDF export with the sigma levels as (min:typ:max) triplets;
+//! * [`sdf`] — SDF export of a session's state, with the sigma levels as
+//!   (min:typ:max) triplets;
 //! * [`stat_max`] — pessimistic and Clark statistical MAX merges for
 //!   block-based analysis;
 //! * [`compiled`] — the compiled timing graph: designs lowered once into
-//!   interned-id/CSR arrays with precomputed wire data, so queries run
-//!   allocation-free (see DESIGN.md, "Performance architecture");
+//!   interned-id/CSR arrays with precomputed wire data, and the one
+//!   per-gate block-based propagation kernel every analysis runs (see
+//!   DESIGN.md, "Performance architecture");
 //! * [`report`] — sign-off-style text timing reports (k-worst paths);
 //! * [`coeff_store`] — the Fig. 5 coefficients file (text LUT), so analysis
 //!   can skip recharacterization.
@@ -84,7 +87,7 @@ pub mod wire_model;
 pub use calibration::{MomentCalibration, C_REF, S_REF};
 pub use cell_model::CellQuantileModel;
 pub use coeff_store::{read_coefficients, write_coefficients};
-pub use compiled::{CompiledDesign, QueryScratch};
+pub use compiled::CompiledDesign;
 pub use extended::{cornish_fisher_quantile, extended_quantiles, YieldCurve};
 pub use session::{QueryError, TimingSession};
 pub use sta::{NsigmaTimer, PathTiming, StageTiming, TimerConfig};

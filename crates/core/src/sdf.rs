@@ -6,24 +6,26 @@
 //! `typ = T(0σ)`, `max = T(+3σ)` — per cell arc (`IOPATH`) and per wire
 //! (`INTERCONNECT`), which is exactly the consumption model the paper's
 //! intro describes for sign-off quantiles.
+//!
+//! The export runs no propagation of its own: it reads a
+//! [`TimingSession`]'s arrival state and compiled per-sink wire arrays.
 
+use crate::session::TimingSession;
 use crate::sta::NsigmaTimer;
-use nsigma_mc::design::Design;
 use nsigma_stats::quantile::{QuantileSet, SigmaLevel};
+use std::borrow::Borrow;
 use std::fmt::Write as _;
 
-/// Writes an SDF 3.0 file for the whole design as analyzed by the timer.
+/// Writes an SDF 3.0 file for the whole design at the session's analysis
+/// operating point.
 ///
-/// Cell arcs are evaluated at the stage's resolved operating condition
-/// (the same block-based propagation `analyze_design` uses); wire triplets
-/// come from the calibrated eq. (9) quantiles per sink.
-///
-/// # Panics
-///
-/// Panics if the design references cells the timer was not built for.
-/// Production callers export through
-/// [`TimingSession::sdf`](crate::session::TimingSession::sdf), which
-/// validated every cell at session build and so cannot hit this.
+/// Each gate's `IOPATH` triplets are the cell quantiles the analysis adds
+/// at that gate: Table I at the input slew the block-based propagation
+/// resolved (the slew of the fanin with the largest +3σ arrival, wire
+/// degradation included) and the stage's effective load. Gate-driven
+/// `INTERCONNECT` triplets are the calibrated eq. (9) quantiles the
+/// compiled design holds per sink; primary-input nets use the FO4
+/// port-driver convention of the golden and the design calibration.
 ///
 /// # Examples
 ///
@@ -31,6 +33,7 @@ use std::fmt::Write as _;
 /// # use nsigma_cells::CellLibrary;
 /// # use nsigma_core::sdf::write_sdf;
 /// # use nsigma_core::sta::{NsigmaTimer, TimerConfig};
+/// # use nsigma_core::{MergeRule, TimingSession};
 /// # use nsigma_mc::design::Design;
 /// # use nsigma_netlist::generators::arith::ripple_adder;
 /// # use nsigma_netlist::mapping::map_to_cells;
@@ -41,49 +44,40 @@ use std::fmt::Write as _;
 /// let netlist = map_to_cells(&ripple_adder(4), &lib)?;
 /// let design = Design::with_generated_parasitics(tech.clone(), lib.clone(), netlist, 1);
 /// let timer = NsigmaTimer::build(&tech, &lib, &TimerConfig::standard(1))?;
-/// let sdf = write_sdf(&timer, &design);
+/// let session = TimingSession::new(&timer, design, MergeRule::Pessimistic)?;
+/// let sdf = write_sdf(&session);
 /// assert!(sdf.contains("(DELAYFILE"));
 /// # Ok(())
 /// # }
 /// ```
-pub fn write_sdf(timer: &NsigmaTimer, design: &Design) -> String {
+pub fn write_sdf<B: Borrow<NsigmaTimer>>(session: &TimingSession<B>) -> String {
+    let design = session.design();
+    let compiled = session.compiled();
     let mut out = String::new();
-    writeln!(out, "(DELAYFILE").expect("write");
-    writeln!(out, "  (SDFVERSION \"3.0\")").expect("write");
-    writeln!(out, "  (DESIGN \"{}\")", design.netlist.name()).expect("write");
-    writeln!(out, "  (VENDOR \"nsigma\")").expect("write");
-    writeln!(out, "  (PROGRAM \"nsigma N-sigma timer\")").expect("write");
-    writeln!(out, "  (TIMESCALE 1ps)").expect("write");
     writeln!(
         out,
-        "  // triplets are the N-sigma levels: (T(-3s) : T(0s) : T(+3s))"
+        "(DELAYFILE\n  (SDFVERSION \"3.0\")\n  (DESIGN \"{}\")\n  (VENDOR \"nsigma\")\n  (PROGRAM \"nsigma N-sigma timer\")\n  (TIMESCALE 1ps)\n  // triplets are the N-sigma levels: (T(-3s) : T(0s) : T(+3s))",
+        design.netlist.name()
     )
     .expect("write");
 
     // Primary-input nets: interconnect triplets with the FO4 port-driver
     // convention (the same one the golden and the Design calibration use).
     let port_driver = crate::sta::fo4_cell();
+    let wire_model = session.timer().wire_model();
     for &net in design.netlist.inputs() {
-        let Some(tree) = design.parasitic(net) else {
+        let Some(tree) = design.parasitic(net).filter(|t| !t.sinks().is_empty()) else {
             continue;
         };
-        if tree.sinks().is_empty() {
-            continue;
-        }
         let loads = design.load_cells(net);
+        let bases = crate::wire_model::nominal_wire_means(&design.tech, tree, &loads, &port_driver);
+        let name = sanitize(&design.netlist.net(net).name);
         for (pos, &(lg, lpin)) in design.netlist.net(net).loads.iter().enumerate() {
-            let base =
-                crate::wire_model::nominal_wire_mean(&design.tech, tree, &loads, &port_driver, pos);
-            let q = timer
-                .wire_model()
-                .wire_quantiles(base, &port_driver, loads[pos]);
-            let load_gate = design.netlist.gate(lg);
+            let q = wire_model.wire_quantiles(bases[pos], &port_driver, loads[pos]);
             writeln!(
                 out,
-                "  (CELL (CELLTYPE \"interconnect\") (INSTANCE {})\n    (DELAY (ABSOLUTE (INTERCONNECT {} {}/A{} {}))))",
-                sanitize(&design.netlist.net(net).name),
-                sanitize(&design.netlist.net(net).name),
-                sanitize(&load_gate.name),
+                "  (CELL (CELLTYPE \"interconnect\") (INSTANCE {name})\n    (DELAY (ABSOLUTE (INTERCONNECT {name} {}/A{} {}))))",
+                sanitize(&design.netlist.gate(lg).name),
                 lpin + 1,
                 triplet(&q)
             )
@@ -91,59 +85,35 @@ pub fn write_sdf(timer: &NsigmaTimer, design: &Design) -> String {
         }
     }
 
-    // Resolve per-net slews with the same propagation analyze_design uses.
-    let order = nsigma_netlist::topo::topo_order(&design.netlist);
-    let nets = design.netlist.num_nets();
-    let mut slew = vec![timer.input_slew(); nets];
-
-    for g in order {
+    for &g in compiled.order() {
         let gate = design.netlist.gate(g);
-        let cell = design.lib.cell(gate.cell);
-        let net = gate.output;
-        let load = design.stage_effective_load(net);
-        let in_slew = gate
-            .inputs
-            .iter()
-            .map(|&i| slew[i.index()])
-            .fold(timer.input_slew(), f64::max);
-
-        let cal = &timer.calibrations()[cell.name()];
-        let moments = cal.moments_at(in_slew, load);
-        let cell_q = timer.quantile_model().predict(&moments);
-
-        writeln!(out, "  (CELL").expect("write");
-        writeln!(out, "    (CELLTYPE \"{}\")", cell.name()).expect("write");
-        writeln!(out, "    (INSTANCE {})", sanitize(&gate.name)).expect("write");
-        writeln!(out, "    (DELAY (ABSOLUTE").expect("write");
-        for (pin, _) in gate.inputs.iter().enumerate() {
-            writeln!(out, "      (IOPATH A{} Y {})", pin + 1, triplet(&cell_q)).expect("write");
+        let cell_q = triplet(&session.gate_update(g).cell);
+        writeln!(
+            out,
+            "  (CELL\n    (CELLTYPE \"{}\")\n    (INSTANCE {})\n    (DELAY (ABSOLUTE",
+            design.lib.cell(gate.cell).name(),
+            sanitize(&gate.name)
+        )
+        .expect("write");
+        for pin in 1..=gate.inputs.len() {
+            writeln!(out, "      (IOPATH A{pin} Y {cell_q})").expect("write");
         }
         out.push_str("    ))\n  )\n");
 
         // Wire entries for each sink of this net.
-        if let Some(tree) = design.parasitic(net) {
-            if !tree.sinks().is_empty() {
-                let loads = design.load_cells(net);
-                for (pos, &(lg, lpin)) in design.netlist.net(net).loads.iter().enumerate() {
-                    let base =
-                        crate::wire_model::nominal_wire_mean(&design.tech, tree, &loads, cell, pos);
-                    let q = timer.wire_model().wire_quantiles(base, cell, loads[pos]);
-                    let load_gate = design.netlist.gate(lg);
-                    writeln!(
-                        out,
-                        "  (CELL (CELLTYPE \"interconnect\") (INSTANCE {})\n    (DELAY (ABSOLUTE (INTERCONNECT {}/Y {}/A{} {}))))",
-                        sanitize(&design.netlist.net(net).name),
-                        sanitize(&gate.name),
-                        sanitize(&load_gate.name),
-                        lpin + 1,
-                        triplet(&q)
-                    )
-                    .expect("write");
-                }
-            }
+        let net = design.netlist.net(gate.output);
+        for (q, &(lg, lpin)) in compiled.sink_wires(gate.output).iter().zip(&net.loads) {
+            writeln!(
+                out,
+                "  (CELL (CELLTYPE \"interconnect\") (INSTANCE {})\n    (DELAY (ABSOLUTE (INTERCONNECT {}/Y {}/A{} {}))))",
+                sanitize(&net.name),
+                sanitize(&gate.name),
+                sanitize(&design.netlist.gate(lg).name),
+                lpin + 1,
+                triplet(q)
+            )
+            .expect("write");
         }
-
-        slew[net.index()] = cal.output_slew_at(in_slew, load);
     }
     out.push_str(")\n");
     out
@@ -174,14 +144,16 @@ fn sanitize(name: &str) -> String {
 mod tests {
     use super::*;
     use crate::sta::TimerConfig;
+    use crate::stat_max::MergeRule;
     use nsigma_cells::cell::{Cell, CellKind};
     use nsigma_cells::CellLibrary;
+    use nsigma_mc::design::Design;
     use nsigma_netlist::generators::arith::ripple_adder;
     use nsigma_netlist::mapping::map_to_cells;
+    use nsigma_netlist::Netlist;
     use nsigma_process::Technology;
 
-    fn setup() -> (NsigmaTimer, Design) {
-        let tech = Technology::synthetic_28nm();
+    fn lib() -> CellLibrary {
         let mut lib = CellLibrary::new();
         for kind in [
             CellKind::Inv,
@@ -193,20 +165,30 @@ mod tests {
                 lib.add(Cell::new(kind, s));
             }
         }
-        let netlist = map_to_cells(&ripple_adder(4), &lib).unwrap();
-        let design = Design::with_generated_parasitics(tech.clone(), lib.clone(), netlist, 2);
+        lib
+    }
+
+    fn timer(lib: &CellLibrary) -> NsigmaTimer {
         let mut cfg = TimerConfig::standard(2);
         cfg.char_samples = 800;
         cfg.wire.nets = 1;
         cfg.wire.samples = 400;
-        let timer = NsigmaTimer::build(&tech, &lib, &cfg).unwrap();
-        (timer, design)
+        NsigmaTimer::build(&Technology::synthetic_28nm(), lib, &cfg).unwrap()
+    }
+
+    fn adder(lib: &CellLibrary) -> Design {
+        let netlist = map_to_cells(&ripple_adder(4), lib).unwrap();
+        Design::with_generated_parasitics(Technology::synthetic_28nm(), lib.clone(), netlist, 2)
     }
 
     #[test]
     fn sdf_has_all_cells_and_wires() {
-        let (timer, design) = setup();
-        let sdf = write_sdf(&timer, &design);
+        let lib = lib();
+        let timer = timer(&lib);
+        let design = adder(&lib);
+        let sdf = TimingSession::new(&timer, design.clone(), MergeRule::Pessimistic)
+            .unwrap()
+            .sdf();
         assert!(sdf.starts_with("(DELAYFILE"));
         assert!(sdf.trim_end().ends_with(')'));
         // One CELL block per gate plus interconnect blocks per loaded sink.
@@ -225,8 +207,11 @@ mod tests {
 
     #[test]
     fn triplets_are_ordered_min_typ_max() {
-        let (timer, design) = setup();
-        let sdf = write_sdf(&timer, &design);
+        let lib = lib();
+        let timer = timer(&lib);
+        let sdf = TimingSession::new(&timer, adder(&lib), MergeRule::Pessimistic)
+            .unwrap()
+            .sdf();
         for line in sdf.lines().filter(|l| l.contains("(IOPATH")) {
             let nums: Vec<f64> = line
                 .split('(')
@@ -240,5 +225,45 @@ mod tests {
             assert!(nums[0] <= nums[1] && nums[1] <= nums[2], "line: {line}");
             assert!(nums[0] > 0.0);
         }
+    }
+
+    /// On a single-fanin chain the block-based input slew is the path
+    /// slew, so every IOPATH triplet must be the cell quantiles path
+    /// analysis reports for that stage.
+    #[test]
+    fn iopath_triplets_are_the_analyzed_cell_quantiles() {
+        let lib = lib();
+        let timer = timer(&lib);
+        let mut netlist = Netlist::new("chain");
+        let mut net = netlist.add_input("a");
+        for (k, (kind, strength)) in [
+            (CellKind::Inv, 1),
+            (CellKind::Buf, 2),
+            (CellKind::Inv, 8),
+            (CellKind::Inv, 1),
+            (CellKind::Buf, 4),
+            (CellKind::Inv, 2),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let cell = lib.find_kind(kind, strength).unwrap();
+            net = netlist.add_gate(format!("u{k}"), cell, &[net]).1;
+        }
+        netlist.mark_output(net);
+        let design =
+            Design::with_generated_parasitics(Technology::synthetic_28nm(), lib, netlist, 5);
+        let session = TimingSession::new(&timer, design, MergeRule::Pessimistic).unwrap();
+        let (path, timing) = session.critical_path().unwrap();
+        assert_eq!(path.len(), 6);
+
+        let sdf = session.sdf();
+        let iopaths: Vec<&str> = sdf.lines().filter(|l| l.contains("(IOPATH")).collect();
+        let expected: Vec<String> = timing
+            .stages
+            .iter()
+            .map(|st| format!("      (IOPATH A1 Y {})", triplet(&st.cell_quantiles)))
+            .collect();
+        assert_eq!(iopaths, expected);
     }
 }

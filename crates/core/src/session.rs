@@ -1,35 +1,40 @@
 //! The session-oriented query layer: one engine, one handle.
 //!
 //! A [`TimingSession`] is built once from a timer and a design. It owns the
-//! [`CompiledDesign`], a pool of [`QueryScratch`] arenas, and the
-//! incremental arrival state, and it exposes the *entire* query surface —
-//! whole-design analysis (late and early), path analysis, ranked worst
-//! paths, ECO resizes with cone-limited recomputation, and SDF export —
-//! with typed [`QueryError`] results instead of query-time panics.
+//! [`CompiledDesign`], the per-net arrival/slew state under its merge rule,
+//! and a pool of [`PathScratch`] tables, and it exposes the *entire* query
+//! surface — whole-design analysis (late and early), path analysis, ranked
+//! worst paths, ECO resizes with cone-limited recomputation, and SDF
+//! export — with typed [`QueryError`] results instead of query-time panics.
 //!
-//! Read queries take `&self`: scratch buffers come from an internal pool,
+//! The arrival state is the design answer. It is built and updated by the
+//! one per-gate kernel, `CompiledDesign::propagate_gate`, and a net is
+//! marked dirty exactly when the bits of any of its seven quantiles or of
+//! its slew change. A gate's update depends only on its fanin state and its
+//! own compiled data, and a resize seeds every gate whose compiled data it
+//! touched, so after every resize the state equals a full pass bit for bit.
+//! [`TimingSession::analyze_design`], the resize answer, the yield
+//! engine's analytic target and SDF export all read that state.
+//!
+//! Read queries take `&self`: path DP tables come from an internal pool,
 //! so many threads can query one session concurrently (the server keeps a
 //! session per registered design behind an `RwLock` and serves reads in
 //! parallel). Resizes take `&mut self` and recompute only the affected
-//! timing cone, exactly as the retired `IncrementalTimer` did.
+//! timing cone.
 //!
 //! The legacy string-keyed implementation survives only as
 //! [`crate::reference`], the oracle of the differential-equivalence suite;
 //! every production caller routes through this module.
 
-use crate::compiled::{CompiledDesign, QueryScratch};
+use crate::compiled::{Bound, CompiledDesign, GateUpdate};
 use crate::sta::{NsigmaTimer, PathTiming};
 use crate::stat_max::MergeRule;
 use nsigma_mc::design::Design;
 use nsigma_netlist::ir::{GateId, NetDriver, NetId};
-use nsigma_netlist::topo::Path;
-use nsigma_stats::quantile::{QuantileSet, SigmaLevel};
+use nsigma_netlist::topo::{Path, PathScratch};
+use nsigma_stats::quantile::QuantileSet;
 use std::borrow::Borrow;
 use std::sync::{Arc, Mutex, PoisonError};
-
-/// Tolerance below which an arrival/slew change does not propagate during
-/// cone-limited recomputation.
-const EPS: f64 = 1e-18;
 
 /// A typed query failure. Every fallible session operation returns one of
 /// these instead of panicking, and [`QueryError::code`] gives the stable
@@ -129,8 +134,9 @@ pub struct TimingSession<B: Borrow<NsigmaTimer> = Arc<NsigmaTimer>> {
     timer: B,
     compiled: CompiledDesign,
     rule: MergeRule,
-    /// Persistent per-net arrival quantiles under `rule` (the incremental
-    /// state resizes update cone-locally).
+    /// Per-net arrival quantiles under `rule`: always equal to a full
+    /// propagation of the current design (resizes update them
+    /// cone-locally).
     arrival: Vec<QuantileSet>,
     slew: Vec<f64>,
     /// Persistent per-gate seed flags for [`TimingSession::recompute`];
@@ -140,9 +146,9 @@ pub struct TimingSession<B: Borrow<NsigmaTimer> = Arc<NsigmaTimer>> {
     dirty_net: Vec<bool>,
     /// Gates recomputed by the last resize.
     last_recompute: usize,
-    /// Pool of scratch arenas for `&self` queries; one per concurrently
-    /// querying thread, grown on demand and reused afterwards.
-    scratch: Mutex<Vec<QueryScratch>>,
+    /// Pool of path DP tables for `&self` ranked-path queries; one per
+    /// concurrently querying thread, grown on demand and reused afterwards.
+    scratch: Mutex<Vec<PathScratch>>,
 }
 
 impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
@@ -197,9 +203,9 @@ impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
         self.rule
     }
 
-    /// Runs `f` with a scratch arena from the pool, returning the arena
+    /// Runs `f` with path DP tables from the pool, returning them
     /// afterwards.
-    fn with_scratch<T>(&self, f: impl FnOnce(&mut QueryScratch) -> T) -> T {
+    fn with_scratch<T>(&self, f: impl FnOnce(&mut PathScratch) -> T) -> T {
         let mut scratch = self
             .scratch
             .lock()
@@ -215,23 +221,18 @@ impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
     }
 
     /// Block-based whole-design analysis under the session's merge rule:
-    /// the worst primary-output arrival quantiles.
+    /// the worst primary-output arrival quantiles, read from the arrival
+    /// state (current across resizes).
     pub fn analyze_design(&self) -> QuantileSet {
-        self.analyze_design_with(self.rule)
-    }
-
-    /// Block-based whole-design analysis under an explicit merge rule.
-    pub fn analyze_design_with(&self, rule: MergeRule) -> QuantileSet {
-        self.with_scratch(|s| {
-            self.compiled
-                .analyze_design_with(self.timer.borrow(), rule, s)
-        })
+        self.compiled
+            .merge_outputs(Bound::Late(self.rule), &self.arrival)
     }
 
     /// Early (hold-side) whole-design analysis: the earliest primary-output
-    /// arrival quantiles.
+    /// arrival quantiles, from a full propagation over fresh buffers.
     pub fn analyze_design_early(&self) -> QuantileSet {
-        self.with_scratch(|s| self.compiled.analyze_design_early(self.timer.borrow(), s))
+        self.compiled
+            .analyze_fresh(self.timer.borrow(), Bound::Early)
     }
 
     /// Analyzes one path (eq. 10): per-stage cell and wire quantiles summed
@@ -255,7 +256,7 @@ impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
 
     /// The `k` worst paths by nominal stage weights, worst first.
     pub fn worst_paths(&self, k: usize) -> Vec<Path> {
-        self.with_scratch(|s| self.compiled.ranked_paths(k, &mut s.paths))
+        self.with_scratch(|s| self.compiled.ranked_paths(k, s))
     }
 
     /// The path of the given zero-based `rank` (0 = worst) together with
@@ -294,24 +295,7 @@ impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
         netlist.gate_ids().find(|&g| netlist.gate(g).name == name)
     }
 
-    /// Worst primary-output arrival under the session rule, from the
-    /// incremental state (kept current across resizes).
-    pub fn worst_output(&self) -> QuantileSet {
-        let design = self.compiled.design();
-        let mut worst: Option<QuantileSet> = None;
-        for &o in design.netlist.outputs() {
-            if matches!(design.netlist.net(o).driver, NetDriver::Gate(_)) {
-                let a = self.arrival[o.index()];
-                worst = Some(match worst {
-                    Some(w) => self.rule.merge(&w, &a),
-                    None => a,
-                });
-            }
-        }
-        worst.unwrap_or_default()
-    }
-
-    /// Arrival quantiles at a net, from the incremental state.
+    /// Arrival quantiles at a net, from the arrival state.
     pub fn arrival(&self, net: NetId) -> &QuantileSet {
         &self.arrival[net.index()]
     }
@@ -321,10 +305,24 @@ impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
         self.last_recompute
     }
 
-    /// SDF export of the whole design as analyzed by the timer. Infallible
-    /// here: the session validated every cell at build time.
+    /// SDF export of the whole design at the analysis operating point
+    /// (see [`crate::sdf::write_sdf`]). Infallible here: the session
+    /// validated every cell at build time.
     pub fn sdf(&self) -> String {
-        crate::sdf::write_sdf(self.timer.borrow(), self.design())
+        crate::sdf::write_sdf(self)
+    }
+
+    /// The kernel's update of one gate evaluated at the current state —
+    /// equal to the state itself, plus the cell quantiles at the resolved
+    /// input slew.
+    pub(crate) fn gate_update(&self, g: GateId) -> GateUpdate {
+        self.compiled.propagate_gate(
+            self.timer.borrow(),
+            Bound::Late(self.rule),
+            g,
+            &self.arrival,
+            &self.slew,
+        )
     }
 
     /// Resizes a gate to a different strength of the same kind and updates
@@ -385,17 +383,19 @@ impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
             }
         }
         self.recompute(false);
-        Ok(self.worst_output())
+        Ok(self.analyze_design())
     }
 
-    /// Walks the topo order, recomputing any gate that is a seed or whose
-    /// fanin nets are dirty; marks outputs dirty when their timing moves.
-    /// The seed/dirty flags are persistent vectors cleared on exit, so a
-    /// resize allocates nothing. Counts the recomputed gates.
-    fn recompute(&mut self, full: bool) -> usize {
+    /// Walks the topo order, recomputing any gate that is a seed or reads
+    /// a dirty net (every gate when `full`), and marks an output net dirty
+    /// exactly when the bits of its arrival or slew change. The seed/dirty
+    /// flags are persistent vectors cleared on exit, so a resize allocates
+    /// nothing.
+    fn recompute(&mut self, full: bool) {
+        let timer = self.timer.borrow();
+        let bound = Bound::Late(self.rule);
         let mut count = 0;
-        for idx in 0..self.compiled.order().len() {
-            let g = self.compiled.order()[idx];
+        for &g in &self.compiled.csr().order {
             let gi = g.index();
             let needs = full
                 || self.seed_gate[gi]
@@ -409,63 +409,20 @@ impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
                 continue;
             }
             count += 1;
-            let (net, new_arrival, new_slew) = self.evaluate_gate(g);
-            let changed = (new_arrival[SigmaLevel::PlusThree]
-                - self.arrival[net.index()][SigmaLevel::PlusThree])
-                .abs()
-                > EPS
-                || (new_slew - self.slew[net.index()]).abs() > EPS;
-            self.arrival[net.index()] = new_arrival;
-            self.slew[net.index()] = new_slew;
-            if changed || full || self.seed_gate[gi] {
-                self.dirty_net[net.index()] = true;
-            }
+            let u = self
+                .compiled
+                .propagate_gate(timer, bound, g, &self.arrival, &self.slew);
+            let changed = u.slew.to_bits() != self.slew[u.net].to_bits()
+                || u.arrival.as_array().map(f64::to_bits)
+                    != self.arrival[u.net].as_array().map(f64::to_bits);
+            self.arrival[u.net] = u.arrival;
+            self.slew[u.net] = u.slew;
+            self.dirty_net[u.net] = changed;
         }
         // Restore the all-false invariant for the next edit.
         self.seed_gate.iter_mut().for_each(|f| *f = false);
         self.dirty_net.iter_mut().for_each(|f| *f = false);
         self.last_recompute = count;
-        count
-    }
-
-    /// One gate's block-based update (same math as `analyze_design_with`),
-    /// read entirely from the compiled arrays.
-    fn evaluate_gate(&self, g: GateId) -> (NetId, QuantileSet, f64) {
-        let timer = self.timer.borrow();
-        let gi = g.index();
-        let net = NetId::from_index(self.compiled.csr().gate_output[gi] as usize);
-        let load = self.compiled.net_load(net);
-
-        let mut in_arrival = QuantileSet::default();
-        let mut in_slew = timer.input_slew();
-        let mut worst = f64::NEG_INFINITY;
-        let mut first = true;
-        for &i in self.compiled.csr().fanins(gi) {
-            let a = &self.arrival[i as usize];
-            in_arrival = if first {
-                first = false;
-                *a
-            } else {
-                self.rule.merge(&in_arrival, a)
-            };
-            let key = a[SigmaLevel::PlusThree];
-            if key > worst {
-                worst = key;
-                in_slew = self.slew[i as usize];
-            }
-        }
-
-        let (cell_q, out_slew) =
-            timer.stage_cell_quantiles_id(self.compiled.gate_cal(g), in_slew, load);
-
-        // Wire quantiles toward the worst sink (consistent with the
-        // block-based convention of `analyze_design_with`), precomputed at
-        // compile/resize time.
-        let (wire_q, wire_mean) = self.compiled.worst_sink_wire(net);
-
-        let arrival = in_arrival.add(&cell_q).add(&wire_q);
-        let slew = (out_slew + 2.0 * wire_mean).max(0.0);
-        (net, arrival, slew)
     }
 }
 
@@ -489,6 +446,7 @@ mod tests {
     use nsigma_netlist::generators::arith::ripple_adder;
     use nsigma_netlist::mapping::map_to_cells;
     use nsigma_process::Technology;
+    use nsigma_stats::quantile::SigmaLevel;
 
     fn setup() -> (NsigmaTimer, Design) {
         let tech = Technology::synthetic_28nm();
@@ -518,15 +476,7 @@ mod tests {
         let (timer, design) = setup();
         let batch = reference::analyze_design(&timer, &design);
         let session = TimingSession::new(&timer, design, MergeRule::Pessimistic).unwrap();
-        let worst = session.worst_output();
-        for lvl in SigmaLevel::ALL {
-            assert!(
-                (worst[lvl] - batch[lvl]).abs() < 1e-15,
-                "{lvl}: {} vs {}",
-                worst[lvl],
-                batch[lvl]
-            );
-        }
+        assert_eq!(session.analyze_design().as_array(), batch.as_array());
     }
 
     #[test]
@@ -537,7 +487,7 @@ mod tests {
             TimingSession::new(&timer, design.clone(), MergeRule::Pessimistic).unwrap();
 
         // Upsize a gate in the middle of the carry chain.
-        let victim = nsigma_netlist::topo::topo_order(&design.netlist)[total_gates / 2];
+        let victim = session.compiled().order()[total_gates / 2];
         let after = session.resize_gate(victim, 8).unwrap();
 
         // Fresh analysis on an identically-edited design agrees exactly.
@@ -548,14 +498,7 @@ mod tests {
             .unwrap();
         fresh.replace_gate_cell(victim, cell);
         let batch = reference::analyze_design(&timer, &fresh);
-        for lvl in SigmaLevel::ALL {
-            assert!(
-                (after[lvl] - batch[lvl]).abs() < 1e-15,
-                "{lvl}: incremental {} vs fresh {}",
-                after[lvl],
-                batch[lvl]
-            );
-        }
+        assert_eq!(after.as_array(), batch.as_array());
         // And the recompute stayed local.
         assert!(
             session.last_recompute_count() < total_gates,
@@ -569,11 +512,9 @@ mod tests {
     #[test]
     fn upsizing_the_endpoint_driver_changes_timing() {
         let (timer, design) = setup();
-        let last = *nsigma_netlist::topo::topo_order(&design.netlist)
-            .last()
-            .unwrap();
         let mut session = TimingSession::new(&timer, design, MergeRule::Pessimistic).unwrap();
-        let before = session.worst_output();
+        let last = *session.compiled().order().last().unwrap();
+        let before = session.analyze_design();
         let after = session.resize_gate(last, 8).unwrap();
         assert!(
             (after[SigmaLevel::PlusThree] - before[SigmaLevel::PlusThree]).abs() > 0.0,
@@ -584,9 +525,9 @@ mod tests {
     #[test]
     fn repeated_resizes_stay_consistent() {
         let (timer, design) = setup();
-        let order = nsigma_netlist::topo::topo_order(&design.netlist);
         let mut session =
             TimingSession::new(&timer, design.clone(), MergeRule::Pessimistic).unwrap();
+        let order = session.compiled().order().to_vec();
         let mut edited = design;
         for (k, &g) in order.iter().step_by(7).enumerate() {
             let s = [2u32, 4, 8][k % 3];
@@ -596,13 +537,7 @@ mod tests {
             edited.replace_gate_cell(g, cell);
         }
         let batch = reference::analyze_design(&timer, &edited);
-        let worst = session.worst_output();
-        assert!(
-            (worst[SigmaLevel::PlusThree] - batch[SigmaLevel::PlusThree]).abs() < 1e-15,
-            "incremental {} vs fresh {} after a resize sequence",
-            worst[SigmaLevel::PlusThree],
-            batch[SigmaLevel::PlusThree]
-        );
+        assert_eq!(session.analyze_design().as_array(), batch.as_array());
     }
 
     #[test]

@@ -315,11 +315,6 @@ impl NsigmaTimer {
     pub fn input_slew(&self) -> f64 {
         self.input_slew
     }
-
-    /// Replaces the wire model (ablation hook).
-    pub fn set_wire_model(&mut self, model: WireVariabilityModel) {
-        self.wire_model = model;
-    }
 }
 
 impl std::fmt::Debug for NsigmaTimer {

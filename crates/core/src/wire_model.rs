@@ -457,12 +457,6 @@ impl WireVariabilityModel {
         self.wire_quantiles(base, driver, loads[pos])
     }
 
-    /// The *uncalibrated* eq. (9) quantiles with plain Elmore as the mean —
-    /// the "Elmore" baseline column of Fig. 11.
-    pub fn elmore_quantiles(elmore: f64) -> QuantileSet {
-        QuantileSet::from_fn(|_| elmore)
-    }
-
     /// The measured FO4 variability baseline `σ_FO4/μ_FO4`.
     pub fn r_fo4(&self) -> f64 {
         self.r_fo4

@@ -230,13 +230,6 @@ impl Design {
         let driver = self.driver_cell(net).unwrap_or(&fo4);
         crate::wire_sim::effective_cap(&self.tech, driver, tree, total)
     }
-
-    /// The sink index on `net`'s RC tree that feeds the given load pin
-    /// position (they are constructed in the same order).
-    pub fn sink_for_load(&self, net: NetId, load_position: usize) -> usize {
-        debug_assert!(load_position < self.netlist.fanout(net));
-        load_position
-    }
 }
 
 #[cfg(test)]

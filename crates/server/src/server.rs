@@ -289,7 +289,7 @@ impl Engine {
         let gates = design.netlist.num_gates();
         let session = TimingSession::new(Arc::clone(&self.timer), design, MergeRule::Pessimistic)
             .map_err(query_err)?;
-        let worst = session.worst_output();
+        let worst = session.analyze_design();
         if !self.store.insert(&name, session) {
             return Err((
                 "bad_request",

@@ -298,11 +298,6 @@ impl LogSkewNormal {
             log: SkewNormal::new(xi, omega, alpha),
         }
     }
-
-    /// The distribution of `ln X`.
-    pub fn log_distribution(&self) -> &SkewNormal {
-        &self.log
-    }
 }
 
 impl Distribution for LogSkewNormal {

@@ -5,8 +5,7 @@
 //! from a master seed (one per cell, per net, per MC chunk) so that
 //! parallelizing the sampling does not change the numbers.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, RngCore};
 
 /// Derives decorrelated child seeds from a master seed using SplitMix64.
 ///
@@ -42,11 +41,6 @@ impl SeedStream {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
-    }
-
-    /// Convenience: next child RNG.
-    pub fn next_rng(&mut self) -> SmallRng {
-        SmallRng::seed_from_u64(self.next_seed())
     }
 
     /// Derives a child seed tagged by a label, independent of stream position.

@@ -1,5 +1,5 @@
 //! The sampling core: parallel, chunked, confidence-bounded graph-level
-//! Monte Carlo over a [`CompiledDesign`].
+//! Monte Carlo over a [`TimingSession`]'s compiled design.
 //!
 //! A run builds one [`CircuitPlan`] — the golden trial kernel of
 //! `nsigma_mc::trial`, the same one `simulate_circuit_mc` runs — over the
@@ -19,13 +19,13 @@ use crate::config::YieldConfig;
 use crate::importance::{likelihood_ratio, WeightTally};
 use crate::report::{CurvePoint, YieldEstimate, YieldReport};
 use crate::stopping::Z95;
-use nsigma_core::{CompiledDesign, QueryError, QueryScratch, YieldCurve};
-use nsigma_core::{MergeRule, NsigmaTimer};
+use nsigma_core::{NsigmaTimer, QueryError, TimingSession, YieldCurve};
 use nsigma_mc::{CircuitPlan, TrialScratch};
 use nsigma_stats::moments::Moments;
 use nsigma_stats::quantile::{QuantileSet, SigmaLevel};
 use nsigma_stats::rng::CounterRng;
 use rand::Rng;
+use std::borrow::Borrow;
 use std::time::Instant;
 
 /// A finished run: the summary [`YieldReport`] plus the raw per-trial
@@ -74,7 +74,9 @@ fn sample_once<R: Rng + ?Sized>(
     )
 }
 
-/// Runs the yield engine against a compiled design.
+/// Runs the yield engine against a session's design. The analytic target
+/// and the yield-curve periods are the session's whole-design answer
+/// ([`TimingSession::analyze_design`]).
 ///
 /// See the crate docs for the sampling, importance and stopping design;
 /// [`crate::YieldAnalysis`] is the ergonomic entry point.
@@ -85,19 +87,17 @@ fn sample_once<R: Rng + ?Sized>(
 /// * [`QueryError::EmptyDesign`] — gateless design.
 /// * [`QueryError::Internal`] — a sampling worker panicked (a bug, not a
 ///   caller mistake).
-pub fn run_yield(
-    timer: &NsigmaTimer,
-    compiled: &CompiledDesign,
-    rule: MergeRule,
+pub fn run_yield<B: Borrow<NsigmaTimer>>(
+    session: &TimingSession<B>,
     cfg: &YieldConfig,
 ) -> Result<YieldRun, QueryError> {
     cfg.validate()?;
-    let design = compiled.design();
+    let design = session.design();
     if design.netlist.num_gates() == 0 {
         return Err(QueryError::EmptyDesign);
     }
 
-    let analytic = compiled.analyze_design_with(timer, rule, &mut QueryScratch::new());
+    let analytic = session.analyze_design();
     let target = cfg.target_period.unwrap_or(analytic[SigmaLevel::PlusThree]);
     if !(target.is_finite() && target > 0.0) {
         return Err(QueryError::InvalidConfig {
@@ -114,7 +114,7 @@ pub fn run_yield(
     };
 
     let shift = cfg.shift();
-    let plan = CircuitPlan::new(design, compiled.csr(), cfg.input_slew);
+    let plan = CircuitPlan::new(design, session.compiled().csr(), cfg.input_slew);
     let weighted = shift > 0.0;
     let mut scratches: Vec<TrialScratch> = (0..threads).map(|_| plan.scratch()).collect();
 
@@ -300,7 +300,7 @@ mod tests {
     use super::*;
     use crate::YieldAnalysis;
     use nsigma_cells::CellLibrary;
-    use nsigma_core::{TimerConfig, TimingSession};
+    use nsigma_core::{MergeRule, TimerConfig};
     use nsigma_netlist::generators::arith::ripple_adder;
     use nsigma_netlist::map_to_cells;
     use nsigma_process::Technology;

@@ -89,6 +89,6 @@ impl<B: Borrow<NsigmaTimer>> YieldAnalysis for TimingSession<B> {
     }
 
     fn yield_run(&self, cfg: &YieldConfig) -> Result<YieldRun, QueryError> {
-        run_yield(self.timer(), self.compiled(), self.rule(), cfg)
+        run_yield(self, cfg)
     }
 }

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Critical path before any edit.
     let path = find_critical_path(&design).expect("path");
     let mut inc = TimingSession::new(&timer, design, MergeRule::Pessimistic)?;
-    let before = inc.worst_output();
+    let before = inc.analyze_design();
     println!(
         "\ninitial worst +3σ arrival: {:.1} ps ({} gates, {}-stage critical path)",
         before[SigmaLevel::PlusThree] * 1e12,
@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut edits = 0;
     let mut touched = 0;
     for &g in path.gates.iter().rev() {
-        let current = inc.worst_output()[SigmaLevel::PlusThree];
+        let current = inc.analyze_design()[SigmaLevel::PlusThree];
         if current <= target {
             break;
         }
@@ -85,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let after = inc.worst_output();
+    let after = inc.analyze_design();
     println!(
         "\n{} edits, {} cone re-evaluations total (vs {} full re-analyses = {} gate visits)",
         edits,

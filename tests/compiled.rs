@@ -124,21 +124,20 @@ fn generated_designs_match_reference_bit_for_bit() {
 
     for design in generated_designs(&tech, &lib) {
         let name = design.netlist.name().to_string();
-        let session = TimingSession::new(&timer, design.clone(), MergeRule::Pessimistic)
-            .expect("session build");
-
         for rule in [MergeRule::Pessimistic, MergeRule::Clark { rho: 0.3 }] {
+            let session = TimingSession::new(&timer, design.clone(), rule).expect("session build");
             let oracle = reference::analyze_design_with(&timer, &design, rule);
-            let fast = session.analyze_design_with(rule);
-            assert_bits_eq(&oracle, &fast, &format!("{name}: analyze_design {rule:?}"));
+            assert_bits_eq(
+                &oracle,
+                &session.analyze_design(),
+                &format!("{name}: analyze_design {rule:?}"),
+            );
+            assert_bits_eq(
+                &reference::analyze_design_early(&timer, &design),
+                &session.analyze_design_early(),
+                &format!("{name}: analyze_design_early {rule:?}"),
+            );
         }
-        let oracle_early = reference::analyze_design_early(&timer, &design);
-        let fast_early = session.analyze_design_early();
-        assert_bits_eq(
-            &oracle_early,
-            &fast_early,
-            &format!("{name}: analyze_design_early"),
-        );
     }
 }
 
@@ -197,6 +196,25 @@ fn worst_paths_ranking_matches_legacy() {
     }
 }
 
+/// Deterministic xorshift64 stream for the seeded resize sequences.
+struct XorShift(u64);
+
+impl XorShift {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+}
+
+const RESIZE_STEPS: usize = 100;
+
+/// Seeded random resizes under both merge rules. After every step the
+/// session's incremental state must equal a full re-analysis bit for bit:
+/// the returned and reported worst outputs against the string-keyed
+/// oracle on a twin design, and every net's arrival (all seven levels)
+/// against a fresh session built on that twin.
 #[test]
 fn resize_sequences_match_reference_full_reanalysis() {
     let tech = Technology::synthetic_28nm();
@@ -204,49 +222,52 @@ fn resize_sequences_match_reference_full_reanalysis() {
     let timer = build_timer(&tech, &lib);
 
     for design in generated_designs(&tech, &lib) {
-        let name = design.netlist.name().to_string();
-        // Twin design mutated in lock-step and re-analyzed from scratch
-        // through the string-keyed oracle.
-        let mut twin = design.clone();
-        let mut session =
-            TimingSession::new(&timer, design, MergeRule::Pessimistic).expect("session build");
-        assert_bits_eq(
-            &reference::analyze_design_with(&timer, &twin, MergeRule::Pessimistic),
-            &session.worst_output(),
-            &format!("{name}: initial full analysis"),
-        );
-        assert_critical_path_matches(&timer, &session, &twin, &format!("{name}: initial"));
-
-        let total_gates = twin.netlist.num_gates();
-        let picks = [3usize, 57, 111, 3, 200];
-        let strengths = [8u32, 4, 8, 1, 2];
-        for (step, (&gi, &strength)) in picks.iter().zip(&strengths).enumerate() {
-            let gate = GateId::from_index(gi % total_gates);
-            let kind = {
-                let g = twin.netlist.gate(gate);
-                twin.lib.cell(g.cell).kind()
-            };
-            let Some(cell) = twin.lib.find_kind(kind, strength) else {
-                continue;
-            };
-            twin.replace_gate_cell(gate, cell);
-            let incremental = session.resize_gate(gate, strength).expect("resize");
-            let oracle = reference::analyze_design_with(&timer, &twin, MergeRule::Pessimistic);
+        for rule in [MergeRule::Pessimistic, MergeRule::Clark { rho: 0.3 }] {
+            let name = format!("{} {rule:?}", design.netlist.name());
+            let mut twin = design.clone();
+            let mut session =
+                TimingSession::new(&timer, design.clone(), rule).expect("session build");
             assert_bits_eq(
-                &oracle,
-                &incremental,
-                &format!("{name}: after resize {step}"),
+                &reference::analyze_design_with(&timer, &twin, rule),
+                &session.analyze_design(),
+                &format!("{name}: initial full analysis"),
             );
-            assert_critical_path_matches(
-                &timer,
-                &session,
-                &twin,
-                &format!("{name}: after resize {step}"),
-            );
-            assert!(
-                session.last_recompute_count() <= total_gates,
-                "recompute visited more gates than the design has"
-            );
+            assert_critical_path_matches(&timer, &session, &twin, &format!("{name}: initial"));
+
+            let total_gates = twin.netlist.num_gates();
+            let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
+            for step in 0..RESIZE_STEPS {
+                let gate = GateId::from_index(rng.next() as usize % total_gates);
+                let strength = [1u32, 2, 4, 8][rng.next() as usize % 4];
+                let kind = twin.lib.cell(twin.netlist.gate(gate).cell).kind();
+                let cell = twin
+                    .lib
+                    .find_kind(kind, strength)
+                    .expect("standard strength");
+                twin.replace_gate_cell(gate, cell);
+                let what = format!("{name}: after resize {step}");
+
+                let returned = session.resize_gate(gate, strength).expect("resize");
+                let oracle = reference::analyze_design_with(&timer, &twin, rule);
+                assert_bits_eq(&oracle, &returned, &format!("{what} (returned)"));
+                assert_bits_eq(&oracle, &session.analyze_design(), &what);
+
+                let fresh = TimingSession::new(&timer, twin.clone(), rule).expect("fresh");
+                for net in twin.netlist.net_ids() {
+                    assert_bits_eq(
+                        fresh.arrival(net),
+                        session.arrival(net),
+                        &format!("{what}: arrival at net {}", net.index()),
+                    );
+                }
+                if step % 10 == 0 {
+                    assert_critical_path_matches(&timer, &session, &twin, &what);
+                }
+                assert!(
+                    session.last_recompute_count() <= total_gates,
+                    "recompute visited more gates than the design has"
+                );
+            }
         }
     }
 }
@@ -263,6 +284,8 @@ fn eight_threads_match_reference_bit_for_bit() {
     let session =
         TimingSession::new(&timer, design.clone(), MergeRule::Pessimistic).expect("session build");
     let reference_q = reference::analyze_design_with(&timer, &design, MergeRule::Pessimistic);
+    let reference_early = reference::analyze_design_early(&timer, &design);
+    let reference_paths = legacy_ranked_paths(&design, 8);
 
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
@@ -271,6 +294,10 @@ fn eight_threads_match_reference_bit_for_bit() {
                     for _ in 0..ITERS {
                         let q = session.analyze_design();
                         assert_bits_eq(&reference_q, &q, "concurrent analyze_design");
+                        let early = session.analyze_design_early();
+                        assert_bits_eq(&reference_early, &early, "concurrent early");
+                        // Ranked paths draw their DP tables from the pool.
+                        assert_eq!(session.worst_paths(8), reference_paths);
                     }
                 })
             })

@@ -154,8 +154,48 @@ fn concurrent_clients_get_bit_exact_answers() {
         }
     });
 
-    // Fractional and integer sigma through the quantile endpoint.
     let mut client = Client::connect(("127.0.0.1", port)).expect("connect");
+
+    // A sequence of remote ECOs on one design: every answer must equal a
+    // fresh local session on the identically resized design, bit for bit,
+    // so a stale incremental state cannot hide behind another incremental
+    // one.
+    let mut twin = reference.clone();
+    let resize_twin = |twin: &mut Design, name: &str, strength: u32| {
+        let g = twin
+            .netlist
+            .gate_ids()
+            .find(|&g| twin.netlist.gate(g).name == name)
+            .expect("eco gate");
+        let kind = twin.lib.cell(twin.netlist.gate(g).cell).kind();
+        let cell = twin
+            .lib
+            .find_kind(kind, strength)
+            .expect("library strength");
+        twin.replace_gate_cell(g, cell);
+    };
+    resize_twin(&mut twin, &eco_gates[1], 8);
+    let gates = twin.netlist.num_gates();
+    for step in 0..8usize {
+        let g = nsigma_netlist::GateId::from_index((step * 97 + 13) % gates);
+        let name = twin.netlist.gate(g).name.clone();
+        let strength = [1u32, 4, 2, 8][step % 4];
+        let eco = client
+            .request_ok(&format!(
+                r#"{{"cmd":"eco_resize","design":"c432-1","gate":"{name}","strength":{strength}}}"#
+            ))
+            .expect("eco_resize");
+        resize_twin(&mut twin, &name, strength);
+        let fresh = TimingSession::new(&local_timer, twin.clone(), MergeRule::Pessimistic)
+            .expect("fresh session")
+            .analyze_design();
+        let remote_q = quantile_array(eco.get("worst_quantiles").unwrap());
+        for (r, l) in remote_q.iter().zip(&fresh.as_array()) {
+            assert_eq!(r.to_bits(), l.to_bits(), "eco_resize step {step} is stale");
+        }
+    }
+
+    // Fractional and integer sigma through the quantile endpoint.
     let q3 = client
         .request_ok(r#"{"cmd":"quantile","design":"c432-0","path":0,"sigma":3}"#)
         .expect("quantile sigma=3");
