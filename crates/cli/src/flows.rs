@@ -625,6 +625,19 @@ mod tests {
         dir.join(name).to_string_lossy().into_owned()
     }
 
+    /// Writes `contents` to a private file, then renames it over `path`:
+    /// tests run in parallel and share these fixtures, so a reader must
+    /// never see a half-written file.
+    fn write_atomically(path: &str, contents: String) {
+        let private = format!(
+            "{path}.{}.{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        );
+        std::fs::write(&private, contents).unwrap();
+        std::fs::rename(&private, path).unwrap();
+    }
+
     fn argv(s: &str) -> Args {
         Args::parse(s.split_whitespace().map(|t| t.to_string())).unwrap()
     }
@@ -644,7 +657,7 @@ mod tests {
         cfg.wire.nets = 1;
         cfg.wire.samples = 300;
         let timer = NsigmaTimer::build(&tech, &lib, &cfg).unwrap();
-        std::fs::write(&path, write_coefficients(&timer)).unwrap();
+        write_atomically(&path, write_coefficients(&timer));
         path
     }
 
@@ -652,7 +665,7 @@ mod tests {
         let path = tmp("adder.v");
         let lib = CellLibrary::standard();
         let nl = map_to_cells(&ripple_adder(4), &lib).unwrap();
-        std::fs::write(&path, write_verilog(&nl, &lib)).unwrap();
+        write_atomically(&path, write_verilog(&nl, &lib));
         path
     }
 

@@ -38,7 +38,8 @@
 //! * **Backpressure, not buffering.** Jobs flow through a bounded
 //!   crossbeam channel; a full queue answers `overloaded` immediately, and
 //!   jobs that outlive their queue deadline answer `deadline` instead of
-//!   consuming a worker.
+//!   consuming a worker. A request line longer than [`MAX_REQUEST_BYTES`]
+//!   answers `bad_request` and closes its connection.
 //! * **Graceful shutdown.** The listener stops accepting, connections
 //!   finish their in-flight request, and the worker pool drains everything
 //!   already queued before the process exits.
@@ -73,4 +74,4 @@ pub mod store;
 pub use client::Client;
 pub use json::Value;
 pub use protocol::{parse_request, Generator, ProtoError, Request};
-pub use server::{Engine, Server, ServerConfig, ServerHandle};
+pub use server::{Engine, Server, ServerConfig, ServerHandle, MAX_REQUEST_BYTES};

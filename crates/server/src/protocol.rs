@@ -2,7 +2,10 @@
 //!
 //! One request per line, one response per line. Every request is an object
 //! with a `"cmd"` field; every response is an object with `"ok"` —
-//! `true` plus the payload, or `false` plus `"code"` and `"error"`.
+//! `true` plus the payload, or `false` plus `"code"` and `"error"`. A line
+//! may hold at most [`crate::MAX_REQUEST_BYTES`] bytes, newline included;
+//! a longer one, or one that is not UTF-8, answers `bad_request`, and the
+//! over-long one also closes the connection.
 //!
 //! ```text
 //! request  := { "cmd": <endpoint>, ...args } "\n"

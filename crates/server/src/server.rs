@@ -35,7 +35,7 @@ use nsigma_netlist::Path;
 use nsigma_process::Technology;
 use nsigma_stats::quantile::{QuantileSet, SigmaLevel};
 use nsigma_yield::{CurvePoint, YieldAnalysis, YieldConfig, DEFAULT_IS_SHIFT};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
@@ -677,6 +677,14 @@ fn accept_loop(listener: TcpListener, engine: Arc<Engine>, pool: Arc<WorkerPool>
     pool.shutdown();
 }
 
+/// The longest request line a connection may send, newline included:
+/// 1 MiB, far above any `register_design` with an inline `"bench"` netlist
+/// the tests and benchmarks send (a few hundred bytes; an inline c7552
+/// `.bench` file is about 0.1 MiB). A longer line gets one `bad_request`
+/// reply and the connection is closed, so no client can grow the reader's
+/// buffer without limit.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
 fn serve_connection(stream: TcpStream, engine: Arc<Engine>, pool: Arc<WorkerPool>) {
     // Short read timeouts let the reader poll the shutdown flag without a
     // dedicated wake-up channel per connection.
@@ -694,23 +702,30 @@ fn serve_connection(stream: TcpStream, engine: Arc<Engine>, pool: Arc<WorkerPool
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         if engine.is_shutdown() {
             break;
         }
         // No `line.clear()` before the read: a timeout can leave a partial
-        // line buffered, which the next read continues.
-        match reader.read_line(&mut line) {
+        // line buffered, which the next read continues. The `take` budget
+        // counts that partial line, so a line never grows past the cap.
+        let budget = (MAX_REQUEST_BYTES - line.len()) as u64;
+        match reader.by_ref().take(budget).read_until(b'\n', &mut line) {
             Ok(0) => break,
             Ok(_) => {
-                let mut response = {
-                    let trimmed = line.trim();
-                    if trimmed.is_empty() {
+                let over_long = line.len() >= MAX_REQUEST_BYTES && !line.ends_with(b"\n");
+                let mut response = match std::str::from_utf8(&line) {
+                    _ if over_long => bad_request(
+                        &engine,
+                        &format!("request line exceeds {MAX_REQUEST_BYTES} bytes"),
+                    ),
+                    Err(_) => bad_request(&engine, "request line is not valid UTF-8"),
+                    Ok(text) if text.trim().is_empty() => {
                         line.clear();
                         continue;
                     }
-                    handle_line(trimmed, &engine, &pool)
+                    Ok(text) => handle_line(text.trim(), &engine, &pool),
                 };
                 line.clear();
                 // One write per response: a separate newline write would
@@ -720,6 +735,7 @@ fn serve_connection(stream: TcpStream, engine: Arc<Engine>, pool: Arc<WorkerPool
                     .write_all(response.as_bytes())
                     .and_then(|()| writer.flush())
                     .is_err()
+                    || over_long
                 {
                     break;
                 }
@@ -735,13 +751,17 @@ fn serve_connection(stream: TcpStream, engine: Arc<Engine>, pool: Arc<WorkerPool
     }
 }
 
+/// A `bad_request` reply for a line that never reached the worker pool,
+/// counted in `bad_requests`.
+fn bad_request(engine: &Engine, message: &str) -> String {
+    engine.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
+    error_response("bad_request", message)
+}
+
 fn handle_line(line: &str, engine: &Engine, pool: &WorkerPool) -> String {
     let request = match parse_request(line) {
         Ok(r) => r,
-        Err(e) => {
-            engine.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-            return error_response("bad_request", &e.to_string());
-        }
+        Err(e) => return bad_request(engine, &e.to_string()),
     };
     let (job, reply) = Job::new(request);
     match pool.submit(job) {

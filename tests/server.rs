@@ -11,8 +11,10 @@ use nsigma_netlist::generators::random_dag::Iscas85;
 use nsigma_netlist::mapping::map_to_cells;
 use nsigma_netlist::{k_longest_paths_by, Path};
 use nsigma_process::Technology;
-use nsigma_server::{Client, Server, ServerConfig, Value};
+use nsigma_server::{Client, Server, ServerConfig, Value, MAX_REQUEST_BYTES};
 use nsigma_stats::quantile::{QuantileSet, SigmaLevel};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 
 const SEED: u64 = 11;
 const PARASITIC_SEED: u64 = 7;
@@ -339,4 +341,54 @@ fn concurrent_clients_get_bit_exact_answers() {
         .expect("shutdown");
     assert_eq!(bye.get("stopping").unwrap().as_bool(), Some(true));
     handle.wait();
+}
+
+#[test]
+fn over_long_request_line_is_rejected_and_the_server_keeps_answering() {
+    let handle = Server::start(ServerConfig {
+        threads: 2,
+        timer: timer_config(),
+        ..ServerConfig::default()
+    })
+    .expect("server start");
+    let port = handle.port();
+
+    // One byte past the cap and no newline: the reader must stop at the cap,
+    // answer once and close instead of buffering the rest.
+    let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("read timeout");
+    stream
+        .write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1])
+        .expect("send over-long line");
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("one reply");
+    let reply = nsigma_server::json::parse(reply.trim_end()).expect("JSON reply");
+    assert_eq!(reply.get("ok").unwrap().as_bool(), Some(false));
+    assert_eq!(reply.get("code").unwrap().as_str(), Some("bad_request"));
+    let mut rest = String::new();
+    assert_eq!(
+        reader.read_line(&mut rest).unwrap_or(0),
+        0,
+        "the connection must close after the reply, got {rest:?}"
+    );
+
+    // A fresh connection still gets answers. A line that is not UTF-8 is a
+    // bad request too, but leaves the connection open; both were counted.
+    let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("reconnect");
+    stream
+        .write_all(b"\xff\xfe\n{\"cmd\":\"stats\"}\n")
+        .expect("send");
+    let mut replies = BufReader::new(stream)
+        .lines()
+        .map(|line| nsigma_server::json::parse(&line.expect("reply line")).expect("JSON reply"));
+    let not_utf8 = replies.next().expect("reply to the non-UTF-8 line");
+    assert_eq!(not_utf8.get("code").unwrap().as_str(), Some("bad_request"));
+    let stats = replies.next().expect("stats reply");
+    assert_eq!(stats.get("ok").unwrap().as_bool(), Some(true));
+    let metrics = stats.get("metrics").unwrap();
+    assert_eq!(metrics.get("bad_requests").unwrap().as_u64(), Some(2));
+    handle.shutdown();
 }

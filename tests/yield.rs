@@ -202,9 +202,9 @@ const C432_FIRST_TRIALS: [u64; 8] = [
     0x3e1f_f8c6_3487_23f2,
     0x3e21_80c7_ae7e_ea3e,
     0x3e23_17cd_f533_2787,
-    0x3e23_f995_d410_14ea,
+    0x3e23_f995_d410_14e9,
     0x3e22_7c2e_3a0b_eeb1,
-    0x3e25_801b_3a88_c5a9,
+    0x3e25_801b_3a88_c5a8,
     0x3e22_067f_11a1_1c1f,
     0x3e27_33a2_d038_d868,
 ];
@@ -215,12 +215,58 @@ const C432_FIRST_PATH_TRIALS: [u64; 8] = [
     0x3e25_5a07_c6fe_9888,
     0x3e25_7fac_c6c0_c10b,
     0x3e22_f214_147a_203b,
+    0x3e23_0876_9fba_3ac9,
+    0x3e22_06f4_d489_e1a6,
+    0x3e1f_1432_da61_e022,
+    0x3e20_c1cb_8d4b_adb0,
+    0x3e21_16ba_615c_1398,
+];
+
+/// [`C432_FIRST_TRIALS`] as the kernel computed them when
+/// `two_pole_delay` bisected the fitted response for its 50 % crossing,
+/// before the closed-form/Newton crossing replaced it. Kept to bound the
+/// drift that replacement caused.
+const C432_FIRST_TRIALS_BISECTION: [u64; 8] = [
+    0x3e1f_f8c6_3487_23f2,
+    0x3e21_80c7_ae7e_ea3e,
+    0x3e23_17cd_f533_2787,
+    0x3e23_f995_d410_14ea,
+    0x3e22_7c2e_3a0b_eeb1,
+    0x3e25_801b_3a88_c5a9,
+    0x3e22_067f_11a1_1c1f,
+    0x3e27_33a2_d038_d868,
+];
+
+/// [`C432_FIRST_PATH_TRIALS`] under the bisection, kept for the same
+/// reason.
+const C432_FIRST_PATH_TRIALS_BISECTION: [u64; 8] = [
+    0x3e25_5a07_c6fe_9888,
+    0x3e25_7fac_c6c0_c10b,
+    0x3e22_f214_147a_203b,
     0x3e23_0876_9fba_3ac8,
     0x3e22_06f4_d489_e1a6,
     0x3e1f_1432_da61_e022,
     0x3e20_c1cb_8d4b_adb0,
     0x3e21_16ba_615c_1398,
 ];
+
+/// Asserts that every pinned sample is within `1e-12` relative of the
+/// bisection's: the closed-form crossing may move only the last bits.
+fn assert_within_drift_bound(pinned: &[u64; 8], bisection: &[u64; 8]) {
+    for (k, (&new, &old)) in pinned.iter().zip(bisection).enumerate() {
+        let (new, old) = (f64::from_bits(new), f64::from_bits(old));
+        assert!(
+            (new - old).abs() <= 1e-12 * old.abs(),
+            "sample {k}: {new:e} drifted from the bisection's {old:e}"
+        );
+    }
+}
+
+#[test]
+fn pinned_samples_stay_within_1e12_of_the_bisection_kernel() {
+    assert_within_drift_bound(&C432_FIRST_TRIALS, &C432_FIRST_TRIALS_BISECTION);
+    assert_within_drift_bound(&C432_FIRST_PATH_TRIALS, &C432_FIRST_PATH_TRIALS_BISECTION);
+}
 
 #[test]
 fn c432_plain_trials_are_bit_pinned() {
