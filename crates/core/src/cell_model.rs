@@ -137,11 +137,7 @@ impl CellQuantileModel {
     pub fn from_coefficients(coefficients: [Vec<f64>; 7]) -> Self {
         for (i, c) in coefficients.iter().enumerate() {
             let level = SigmaLevel::ALL[i];
-            let expect = match level.n().abs() {
-                3 => 3,
-                2 => 4,
-                _ => 3,
-            };
+            let expect = Self::term_count(level);
             assert_eq!(
                 c.len(),
                 expect,
@@ -156,19 +152,22 @@ impl CellQuantileModel {
     pub fn gaussian() -> Self {
         let mut coefficients: [Vec<f64>; 7] = Default::default();
         for level in SigmaLevel::ALL {
-            let (_, n_features) = features_for(
-                level,
-                &Moments {
-                    mean: 0.0,
-                    std: 1.0,
-                    skewness: 0.0,
-                    kurtosis: 0.0,
-                    n: 0,
-                },
-            );
-            coefficients[level.index()] = vec![0.0; n_features + 1];
+            coefficients[level.index()] = vec![0.0; Self::term_count(level)];
         }
         Self { coefficients }
+    }
+
+    /// The Table I term count of a sigma level: the intercept plus its
+    /// features (4 at ±2σ, 3 at every other level).
+    pub(crate) fn term_count(level: SigmaLevel) -> usize {
+        let unit = Moments {
+            mean: 0.0,
+            std: 1.0,
+            skewness: 0.0,
+            kurtosis: 0.0,
+            n: 0,
+        };
+        1 + features_for(level, &unit).1
     }
 }
 

@@ -174,12 +174,9 @@ pub fn read_coefficients(tech: &Technology, text: &str) -> Result<NsigmaTimer, P
                 input_slew = Some(one(&nums, lineno)?);
             }
             "QMODEL" => {
-                let vals = nums.map_err(|_| ParseCoeffError::BadRecord(lineno))?;
-                let n = vals
-                    .first()
-                    .copied()
-                    .ok_or(ParseCoeffError::BadRecord(lineno))? as i32;
+                let n = one(&nums, lineno)? as i32;
                 let level = SigmaLevel::from_n(n).ok_or(ParseCoeffError::BadRecord(lineno))?;
+                let vals = all(&nums, lineno, 1 + CellQuantileModel::term_count(level))?;
                 qcoeffs[level.index()] = Some(vals[1..].to_vec());
             }
             "WIRE-XW" => wire_xw = Some(all(&nums, lineno, 3)?),
@@ -503,6 +500,35 @@ mod tests {
         let text = write_coefficients(&timer);
         let cut = &text[..text.len() / 3];
         assert!(read_coefficients(&tech, cut).is_err());
+        // A QMODEL row one coefficient short (or long) is a typed error on
+        // its line, not a term-count panic in the model constructor.
+        let lineno = 1 + text
+            .lines()
+            .position(|l| l.starts_with("QMODEL 0 "))
+            .expect("QMODEL 0 row");
+        for extra in [None, Some("0e0")] {
+            let edited: String = text
+                .lines()
+                .map(|l| {
+                    if !l.starts_with("QMODEL 0 ") {
+                        return format!("{l}\n");
+                    }
+                    let mut parts: Vec<&str> = l.split_whitespace().collect();
+                    match extra {
+                        Some(x) => parts.push(x),
+                        None => {
+                            parts.pop();
+                        }
+                    }
+                    parts.join(" ") + "\n"
+                })
+                .collect();
+            assert_eq!(
+                read_coefficients(&tech, &edited).map(|_| ()),
+                Err(ParseCoeffError::BadRecord(lineno)),
+                "QMODEL 0 row edited with {extra:?}"
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,9 @@ use nsigma_cells::cell::{Cell, CellKind};
 use nsigma_cells::timing::sample_arc;
 use nsigma_interconnect::generator::random_net;
 use nsigma_interconnect::rctree::RcTree;
-use nsigma_mc::wire_sim::{simulate_wire_mc, WireGoldenMode, WireMcConfig};
+use nsigma_mc::wire_sim::{
+    golden_scales, simulate_wire_mc, WireGoldenMode, WireMcConfig, WirePlan,
+};
 use nsigma_process::{Technology, VariationModel};
 use nsigma_stats::linalg::Matrix;
 use nsigma_stats::moments::Moments;
@@ -161,82 +163,30 @@ pub fn elmore_with_pins(tech: &Technology, tree: &RcTree, loads: &[&Cell]) -> Ve
     tree.sinks().iter().map(|s| m1[s.index()]).collect()
 }
 
-/// The deterministic (MC-free) nominal wire delay of one sink under the
+/// The deterministic (MC-free) nominal wire delay of every sink under the
 /// delay-calculator decomposition: the two-pole source→sink estimate with
-/// the driver's nominal resistance folded in, minus the lumped
-/// effective-load baseline `ln2·R_drv·C_eff`.
+/// the driver's nominal resistance folded in ([`WirePlan::nominal`]),
+/// minus the lumped effective-load baseline `ln2·R_drv·C_eff`.
 ///
 /// This is the model's `μ_w` — the two-moment generalization of the paper's
 /// `T_Elmore` mean (eq. 4), computed from the same parasitics with no
 /// simulation.
-pub fn nominal_wire_mean(
-    tech: &Technology,
-    tree: &RcTree,
-    loads: &[&Cell],
-    driver: &Cell,
-    pos: usize,
-) -> f64 {
-    nominal_wire_means(tech, tree, loads, driver)[pos]
-}
-
-/// [`nominal_wire_mean`] for every sink at once (one moment pass).
 pub fn nominal_wire_means(
     tech: &Technology,
     tree: &RcTree,
     loads: &[&Cell],
     driver: &Cell,
 ) -> Vec<f64> {
-    use nsigma_interconnect::elmore::moments_all;
-    use nsigma_interconnect::metrics::two_pole_delay;
-    use nsigma_mc::wire_sim::{effective_cap, fold_driver};
-
+    let mut plan = WirePlan::new();
+    let slot = plan.push_net(tech, tree, driver, loads, None);
+    let mut scratch = plan.scratch();
+    let c_eff = plan.nominal(slot, &mut scratch).c_eff;
     let rd = driver.drive_resistance(tech);
-    let mut loaded = tree.clone();
-    for (k, &sink) in tree.sinks().iter().enumerate() {
-        loaded.add_cap(sink, loads[k].input_cap(tech));
-    }
-    let c_eff = effective_cap(tech, driver, &loaded, loaded.total_cap());
-    let (folded, _root, sinks) = fold_driver(&loaded, rd);
-    let (m1, m2) = moments_all(&folded);
+    // `(ln2·rd)·c_eff`, not the kernel's `ln2·(rd·c_eff)`: the two differ
+    // in the last bit on about a quarter of the sinks, and the compiled
+    // wire arrays, SDF and `reference` answers are pinned to this one.
     let lumped = core::f64::consts::LN_2 * rd * c_eff;
-    sinks
-        .iter()
-        .map(|s| two_pole_delay(m1[s.index()].max(1e-18), m2[s.index()].max(1e-33)) - lumped)
-        .collect()
-}
-
-/// Nominal transient/two-pole anchor for a loaded net — the same control
-/// variate [`nsigma_mc::design::Design`] applies to the fast golden mode.
-fn nominal_anchor(tech: &Technology, tree: &RcTree, driver: &Cell, load: &Cell) -> f64 {
-    use nsigma_interconnect::elmore::moments_all;
-    use nsigma_interconnect::metrics::two_pole_delay;
-    use nsigma_interconnect::transient::{simulate_ramp, TransientConfig};
-    use nsigma_mc::wire_sim::fold_driver;
-
-    let rd = driver.drive_resistance(tech);
-    let mut loaded = tree.clone();
-    loaded.add_cap(tree.sinks()[0], load.input_cap(tech));
-    let total_cap = loaded.total_cap();
-    let slew = 10e-12;
-    let c_eff = nsigma_mc::wire_sim::effective_cap(tech, driver, &loaded, total_cap);
-    let tau = rd * c_eff;
-    let cell_ramp = nsigma_mc::wire_sim::lumped_t50_ramp(tau, slew);
-    let cell_step = core::f64::consts::LN_2 * tau;
-    let mut cfg = TransientConfig::auto(&loaded, tech.vdd, slew, rd);
-    cfg.dt = (cfg.t_max / 4000.0).max(1e-16);
-    let reference = simulate_ramp(&loaded, &cfg);
-    let (folded, _root_img, sinks) = fold_driver(&loaded, rd);
-    let (m1, m2) = moments_all(&folded);
-    let tp = two_pole_delay(
-        m1[sinks[0].index()].max(1e-18),
-        m2[sinks[0].index()].max(1e-33),
-    ) - cell_step;
-    let tr = reference.sink_cross[0] - cell_ramp;
-    if tp.abs() < 0.02e-12 || tr.abs() < 0.02e-12 {
-        1.0
-    } else {
-        (tr / tp).clamp(0.3, 3.0)
-    }
+    scratch.delays().iter().map(|d| d - lumped).collect()
 }
 
 /// The calibrated wire variability model (eqs. 7–9).
@@ -291,7 +241,7 @@ impl WireVariabilityModel {
                 for &fo in &cfg.strengths {
                     let driver = Cell::new(CellKind::Inv, fi);
                     let load = Cell::new(CellKind::Inv, fo);
-                    let base_mean = nominal_wire_mean(tech, &tree, &[&load], &driver, 0);
+                    let base_mean = nominal_wire_means(tech, &tree, &[&load], &driver)[0];
                     let mc_cfg = WireMcConfig {
                         samples: cfg.samples,
                         seed: seeds
@@ -307,7 +257,7 @@ impl WireVariabilityModel {
                     // path MC applies — so the model's mean is consistent
                     // with both golden modes.
                     let anchor = match cfg.mode {
-                        WireGoldenMode::TwoPole => nominal_anchor(tech, &tree, &driver, &load),
+                        WireGoldenMode::TwoPole => golden_scales(tech, &tree, &driver, &[&load])[0],
                         WireGoldenMode::Transient => 1.0,
                     };
                     // Skip degenerate observations (near-zero wire delay
@@ -407,7 +357,7 @@ impl WireVariabilityModel {
     }
 
     /// Predicts the calibrated mean wire delay (s) from the nominal
-    /// two-moment base mean (see [`nominal_wire_mean`]) and the driver/load
+    /// two-moment base mean (see [`nominal_wire_means`]) and the driver/load
     /// pair's fitted correction.
     pub fn predict_mean(&self, base_mean: f64, driver: &Cell, load: &Cell) -> f64 {
         let x_fi = self.coefficient(driver);
@@ -453,7 +403,7 @@ impl WireVariabilityModel {
         driver: &Cell,
         pos: usize,
     ) -> QuantileSet {
-        let base = nominal_wire_mean(tech, tree, loads, driver, pos);
+        let base = nominal_wire_means(tech, tree, loads, driver)[pos];
         self.wire_quantiles(base, driver, loads[pos])
     }
 
@@ -542,7 +492,7 @@ impl WireVariabilityModel {
         let predicted = self.net_quantiles(tech, tree, &[load], driver, 0);
         let golden = simulate_wire_mc(tech, tree, driver, &[load], mc_cfg);
         let anchor = match mc_cfg.mode {
-            WireGoldenMode::TwoPole => nominal_anchor(tech, tree, driver, load),
+            WireGoldenMode::TwoPole => golden_scales(tech, tree, driver, &[load])[0],
             WireGoldenMode::Transient => 1.0,
         };
         let g = golden[0].quantiles.map(|x| x * anchor);

@@ -2,14 +2,14 @@
 //!
 //! This bundles everything the golden simulator and the delay models need:
 //! the mapped netlist, the RC tree of every net (generated from placement
-//! statistics — the IC Compiler substitute) and nominal load bookkeeping.
+//! statistics — the IC Compiler substitute), nominal load bookkeeping and
+//! the per-sink golden scales, which [`golden_scales`] computes with the
+//! nominal evaluation of the flat wire kernel.
 
+use crate::wire_sim::golden_scales;
 use nsigma_cells::{Cell, CellKind, CellLibrary};
-use nsigma_interconnect::elmore::moments_all;
 use nsigma_interconnect::generator::{generate_net, NetGenConfig};
-use nsigma_interconnect::metrics::two_pole_delay;
 use nsigma_interconnect::rctree::RcTree;
-use nsigma_interconnect::transient::{simulate_ramp, TransientConfig};
 use nsigma_netlist::ir::{NetDriver, NetId, Netlist};
 use nsigma_process::Technology;
 use nsigma_stats::rng::SeedStream;
@@ -26,11 +26,11 @@ pub struct Design {
     pub netlist: Netlist,
     /// Per-net parasitics, indexed by [`NetId`]; `None` for load-less nets.
     parasitics: Vec<Option<RcTree>>,
-    /// Per-net, per-sink golden calibration: nominal transient lag divided
-    /// by nominal two-pole lag. Multiplying the fast two-pole mode by this
-    /// factor anchors it to the transient reference (a control variate),
-    /// so circuit-scale Monte Carlo stays consistent with the wire-level
-    /// transient experiments.
+    /// Per-net, per-sink golden calibration from [`golden_scales`]: nominal
+    /// transient lag divided by nominal two-pole lag. Multiplying the fast
+    /// two-pole mode by this factor anchors it to the transient reference
+    /// (a control variate), so circuit-scale Monte Carlo stays consistent
+    /// with the wire-level transient experiments.
     golden_scale: Vec<Option<Vec<f64>>>,
 }
 
@@ -92,52 +92,13 @@ impl Design {
     }
 
     fn compute_net_scale(&self, net: NetId) -> Option<Vec<f64>> {
-        let tree = self.parasitic(net)?;
-        if tree.sinks().is_empty() {
-            return None;
-        }
+        let tree = self.parasitic(net).filter(|t| !t.sinks().is_empty())?;
         // Nominal driver: the actual driver cell, or an INVx4 port driver
         // for primary-input nets (the FO4 convention).
         let fo4 = Cell::new(CellKind::Inv, 4);
         let driver = self.driver_cell(net).unwrap_or(&fo4);
-        let rd = driver.drive_resistance(&self.tech);
-        // Tree with nominal load pins attached.
-        let mut loaded = tree.clone();
-        for (k, &sink) in tree.sinks().iter().enumerate() {
-            let pin = self.load_cells(net)[k].input_cap(&self.tech);
-            loaded.add_cap(sink, pin);
-        }
-        let total_cap = loaded.total_cap();
-        // Both modes use the delay-calculator decomposition (see
-        // `wire_sim`): source→sink minus the lumped effective-load baseline.
-        let slew = 10e-12;
-        let c_eff = crate::wire_sim::effective_cap(&self.tech, driver, &loaded, total_cap);
-        let tau = rd * c_eff;
-        let cell_ramp = crate::wire_sim::lumped_t50_ramp(tau, slew);
-        let cell_step = core::f64::consts::LN_2 * tau;
-        // Transient reference (reduced step count — nominal only).
-        let mut cfg = TransientConfig::auto(&loaded, self.tech.vdd, slew, rd);
-        cfg.dt = (cfg.t_max / 4000.0).max(1e-16);
-        let reference = simulate_ramp(&loaded, &cfg);
-        // Two-pole estimate on the driver-folded tree.
-        let (folded, _root_img, sink_imgs) = crate::wire_sim::fold_driver(&loaded, rd);
-        let (m1, m2) = moments_all(&folded);
-        let scales = sink_imgs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let tp =
-                    two_pole_delay(m1[s.index()].max(1e-18), m2[s.index()].max(1e-33)) - cell_step;
-                let tr = reference.sink_cross[i] - cell_ramp;
-                // Degenerate tiny wires: skip anchoring.
-                if tp.abs() < 0.02e-12 || tr.abs() < 0.02e-12 {
-                    1.0
-                } else {
-                    (tr / tp).clamp(0.3, 3.0)
-                }
-            })
-            .collect();
-        Some(scales)
+        let loads = self.load_cells(net);
+        Some(golden_scales(&self.tech, tree, driver, &loads))
     }
 
     /// Per-sink golden calibration factors for a net (transient / two-pole

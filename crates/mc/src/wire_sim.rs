@@ -20,12 +20,15 @@
 //! a reusable [`WireScratch`] and computes the two-pole moments in place,
 //! with the sampled driver resistance folded in as node 0's edge. Every
 //! Monte-Carlo caller goes through it; [`sample_wire`] is a one-net wrapper.
+//! The nominal callers use the same moment pass: [`WirePlan::nominal`]
+//! evaluates the nominal parasitics at the nominal driver resistance, and
+//! [`golden_scales`] and the wire model's `μ_w` mean are built on it.
 
 use crate::result::McResult;
 use crate::trial::run_trials;
 use nsigma_cells::Cell;
 use nsigma_interconnect::metrics::two_pole_delay;
-use nsigma_interconnect::rctree::{NodeId, RcTree};
+use nsigma_interconnect::rctree::RcTree;
 use nsigma_interconnect::transient::{simulate_ramp, TransientConfig};
 use nsigma_process::{GlobalSample, Technology, VariationModel};
 use rand::rngs::SmallRng;
@@ -66,23 +69,6 @@ impl WireMcConfig {
             mode: WireGoldenMode::Transient,
         }
     }
-}
-
-/// Folds a driver resistance into a tree: returns the extended tree, the
-/// image of the original root, and the images of the original sinks.
-pub fn fold_driver(tree: &RcTree, driver_res: f64) -> (RcTree, NodeId, Vec<NodeId>) {
-    let mut out = RcTree::new(1e-21);
-    let mut map = Vec::with_capacity(tree.len());
-    // Old root hangs off the new source through the driver resistance.
-    let root_img = out.add_node(RcTree::root(), driver_res, tree.cap(RcTree::root()));
-    map.push(root_img);
-    for id in tree.topo_order().skip(1) {
-        let parent_img = map[tree.parent(id).expect("non-root").index()];
-        let img = out.add_node(parent_img, tree.res(id), tree.cap(id));
-        map.push(img);
-    }
-    let sinks = tree.sinks().iter().map(|s| map[s.index()]).collect();
-    (out, root_img, sinks)
 }
 
 /// One sampled wire evaluation: per-sink delays plus the sampled total
@@ -144,8 +130,8 @@ pub struct WireScratch {
 }
 
 impl WireScratch {
-    /// Per-sink delays (s) of the last [`WirePlan::sample`], unscaled, in
-    /// sink order.
+    /// Per-sink delays (s) of the last [`WirePlan::sample`] (unscaled) or
+    /// [`WirePlan::nominal`] (unbaselined), in sink order.
     pub fn delays(&self) -> &[f64] {
         &self.delays
     }
@@ -314,7 +300,7 @@ impl WirePlan {
         rng: &mut R,
         scratch: &mut WireScratch,
     ) -> (NetSample, f64) {
-        let drawn = self.draw(
+        let (rd, totals) = self.draw(
             slot,
             tech,
             variation,
@@ -324,8 +310,9 @@ impl WirePlan {
             rng,
             scratch,
         );
-        self.two_pole(slot, &drawn, scratch, pos..pos + 1);
-        (drawn.totals, scratch.delays[pos])
+        let lumped = core::f64::consts::LN_2 * (rd * totals.c_eff);
+        self.two_pole(slot, rd, lumped, scratch, pos..pos + 1);
+        (totals, scratch.delays[pos])
     }
 
     /// [`WirePlan::sample`] in either golden mode (`input_slew` only
@@ -344,7 +331,7 @@ impl WirePlan {
         input_slew: f64,
         mode: WireGoldenMode,
     ) -> NetSample {
-        let drawn = self.draw(
+        let (rd, totals) = self.draw(
             slot,
             tech,
             variation,
@@ -354,18 +341,26 @@ impl WirePlan {
             rng,
             scratch,
         );
+        // The subtracted baseline is the SAME driver resistance charging the
+        // *effective* (shield-reduced, at nominal R_drv) lumped capacitance —
+        // the delay-calculator picture of the cell driving its library load.
+        // The sampled R_drv deviations appear in BOTH terms; their imperfect
+        // cancellation across the real tree vs the lumped load is the
+        // cell/wire interaction variability of the paper's eq. (7).
+        let tau = rd * totals.c_eff;
         match mode {
             WireGoldenMode::TwoPole => {
                 let sinks = self.sink_start[slot + 1] - self.sink_start[slot];
-                self.two_pole(slot, &drawn, scratch, 0..sinks);
+                let lumped = core::f64::consts::LN_2 * tau;
+                self.two_pole(slot, rd, lumped, scratch, 0..sinks);
             }
-            WireGoldenMode::Transient => self.transient(slot, tech, &drawn, input_slew, scratch),
+            WireGoldenMode::Transient => self.transient(slot, tech, rd, tau, input_slew, scratch),
         }
-        drawn.totals
+        totals
     }
 
-    /// Sampled driver resistance, R/C and pin caps into `scratch.res` /
-    /// `scratch.cap`, and the totals the decomposition needs.
+    /// Sampled R/C and pin caps into `scratch.res` / `scratch.cap`; returns
+    /// the sampled driver resistance and the net's totals.
     #[allow(clippy::too_many_arguments)]
     fn draw<R: Rng + ?Sized>(
         &self,
@@ -377,7 +372,7 @@ impl WirePlan {
         driver_dvth_local: f64,
         rng: &mut R,
         scratch: &mut WireScratch,
-    ) -> Drawn {
+    ) -> (f64, NetSample) {
         let (n0, n1) = (self.node_start[slot], self.node_start[slot + 1]);
         let (s0, s1) = (self.sink_start[slot], self.sink_start[slot + 1]);
         let n = n1 - n0;
@@ -401,31 +396,60 @@ impl WirePlan {
         for (&node, &pin) in self.sink_node[s0..s1].iter().zip(&self.pin_cap[s0..s1]) {
             cap[node as usize] += pin * variation.sample_wire_local(rng);
         }
-
-        let total_cap: f64 = cap.iter().sum();
-        let total_res: f64 = res.iter().sum();
-        // The subtracted baseline is the SAME driver resistance charging the
-        // *effective* (shield-reduced, at nominal R_drv) lumped capacitance —
-        // the delay-calculator picture of the cell driving its library load.
-        // The sampled R_drv deviations appear in BOTH terms; their imperfect
-        // cancellation across the real tree vs the lumped load is the
-        // cell/wire interaction variability of the paper's eq. (7).
-        let c_eff = shielded_cap(total_cap, total_res, self.rd_nom[slot]);
-        Drawn {
-            rd,
-            tau: rd * c_eff,
-            totals: NetSample { total_cap, c_eff },
-        }
+        (rd, self.totals(slot, scratch))
     }
 
-    /// Step-response source→sink two-pole delay minus the lumped step 50 %
-    /// (ln2·τ) at the sinks in `sinks` (positions in sink order), from the
-    /// sampled values in `scratch`.
+    /// The nominal evaluation of a wired slot: the nominal R/C with the
+    /// nominal load-pin caps at the sinks, driven through the driver's
+    /// nominal resistance. Writes the *unbaselined* source→sink two-pole
+    /// delays into [`WireScratch::delays`]; each caller subtracts its own
+    /// lumped baseline, because the association of `ln2·R_drv·C_eff`
+    /// changes the last bit of the result.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a slot from [`WirePlan::push_unwired`].
+    pub fn nominal(&self, slot: usize, scratch: &mut WireScratch) -> NetSample {
+        let (n0, n1) = (self.node_start[slot], self.node_start[slot + 1]);
+        let (s0, s1) = (self.sink_start[slot], self.sink_start[slot + 1]);
+        let n = n1 - n0;
+        scratch.fit(n, s1 - s0);
+        scratch.res[..n].copy_from_slice(&self.res[n0..n1]);
+        let cap = &mut scratch.cap[..n];
+        cap.copy_from_slice(&self.cap[n0..n1]);
+        for (&node, &pin) in self.sink_node[s0..s1].iter().zip(&self.pin_cap[s0..s1]) {
+            cap[node as usize] += pin;
+        }
+        let totals = self.totals(slot, scratch);
+        self.two_pole(slot, self.rd_nom[slot], 0.0, scratch, 0..s1 - s0);
+        totals
+    }
+
+    /// Total capacitance of the slot's values in `scratch` and the
+    /// effective load at the driver's nominal resistance.
+    fn totals(&self, slot: usize, scratch: &WireScratch) -> NetSample {
+        let n = self.node_start[slot + 1] - self.node_start[slot];
+        let total_cap: f64 = scratch.cap[..n].iter().sum();
+        let total_res: f64 = scratch.res[..n].iter().sum();
+        let c_eff = shielded_cap(total_cap, total_res, self.rd_nom[slot]);
+        NetSample { total_cap, c_eff }
+    }
+
+    /// Step-response source→sink two-pole delay minus the baseline `lumped`
+    /// at the sinks in `sinks` (positions in sink order), from the R/C
+    /// values in `scratch`.
     ///
     /// The moments are those of the tree with `rd` folded in as node 0's
     /// edge from an ideal source: `m1(i) = m1(parent) + R_i · C_down(i)`
     /// and the same recursion for m2 with node weights `C_k · m1(k)`.
-    fn two_pole(&self, slot: usize, drawn: &Drawn, scratch: &mut WireScratch, sinks: Range<usize>) {
+    fn two_pole(
+        &self,
+        slot: usize,
+        rd: f64,
+        lumped: f64,
+        scratch: &mut WireScratch,
+        sinks: Range<usize>,
+    ) {
         let (n0, n1) = (self.node_start[slot], self.node_start[slot + 1]);
         let sink_node =
             &self.sink_node[self.sink_start[slot]..self.sink_start[slot + 1]][sinks.clone()];
@@ -442,7 +466,7 @@ impl WirePlan {
         for i in (1..n).rev() {
             down[parent[i] as usize] += down[i];
         }
-        m1[0] = drawn.rd * down[0];
+        m1[0] = rd * down[0];
         for i in 1..n {
             m1[i] = m1[parent[i] as usize] + res[i] * down[i];
         }
@@ -453,12 +477,11 @@ impl WirePlan {
         for i in (1..n).rev() {
             down[parent[i] as usize] += down[i];
         }
-        m2[0] = drawn.rd * down[0];
+        m2[0] = rd * down[0];
         for i in 1..n {
             m2[i] = m2[parent[i] as usize] + res[i] * down[i];
         }
 
-        let lumped = core::f64::consts::LN_2 * drawn.tau;
         for (d, &node) in scratch.delays[sinks].iter_mut().zip(sink_node) {
             let k = node as usize;
             *d = two_pole_delay(m1[k].max(1e-18), m2[k].max(1e-33)) - lumped;
@@ -466,12 +489,14 @@ impl WirePlan {
     }
 
     /// Transient-mode delays: rebuilds the sampled tree from `scratch` and
-    /// runs the ramp-driven backward-Euler reference.
+    /// runs the ramp-driven backward-Euler reference, driven through `rd`,
+    /// minus the lumped ramp crossing of time constant `tau`.
     fn transient(
         &self,
         slot: usize,
         tech: &Technology,
-        drawn: &Drawn,
+        rd: f64,
+        tau: f64,
         input_slew: f64,
         scratch: &mut WireScratch,
     ) {
@@ -490,22 +515,13 @@ impl WirePlan {
         }
         // Ramp-driven: sink 50 % crossing minus the lumped-load 50 %
         // crossing under the same ramp.
-        let lumped = lumped_t50_ramp(drawn.tau, input_slew);
-        let cfg = TransientConfig::auto(&sampled, tech.vdd, input_slew, drawn.rd);
+        let lumped = lumped_t50_ramp(tau, input_slew);
+        let cfg = TransientConfig::auto(&sampled, tech.vdd, input_slew, rd);
         let res = simulate_ramp(&sampled, &cfg);
         for (d, &c) in scratch.delays.iter_mut().zip(&res.sink_cross) {
             *d = c - lumped;
         }
     }
-}
-
-/// What [`WirePlan::draw`] hands the delay evaluation.
-struct Drawn {
-    /// Sampled driver resistance (Ω).
-    rd: f64,
-    /// Lumped baseline time constant `rd · c_eff` (s).
-    tau: f64,
-    totals: NetSample,
 }
 
 /// One sampled evaluation of a wire.
@@ -556,7 +572,7 @@ pub fn sample_wire<R: Rng + ?Sized>(
 /// Closed-form response: `v(t) = (t − τ(1−e^{−t/τ}))/S` during the ramp and
 /// `v(t) = 1 − (τ/S)(1−e^{−S/τ})e^{−(t−S)/τ}` after it; the crossing is
 /// found by bisection (60 iterations, exact to f64 noise).
-pub fn lumped_t50_ramp(tau: f64, slew: f64) -> f64 {
+fn lumped_t50_ramp(tau: f64, slew: f64) -> f64 {
     let tau = tau.max(1e-18);
     let slew = slew.max(1e-18);
     let v = |t: f64| {
@@ -596,6 +612,56 @@ pub fn effective_cap(tech: &Technology, driver: &Cell, tree: &RcTree, total_cap:
 fn shielded_cap(total_cap: f64, rw: f64, rd_nom: f64) -> f64 {
     let shield = rw / (rw + 3.0 * rd_nom);
     total_cap * (1.0 - 0.5 * shield)
+}
+
+/// Slew (s) of the ramp that drives the nominal transient of
+/// [`golden_scales`].
+const NOMINAL_SLEW: f64 = 10e-12;
+
+/// Time steps of the nominal transient over its window (reduced from the
+/// per-trial default: it runs once per net).
+const NOMINAL_STEPS: f64 = 4000.0;
+
+/// Per-sink golden calibration of a net driven by `driver` into `loads`
+/// (one per sink): the nominal transient lag over the nominal two-pole lag,
+/// both under the delay-calculator decomposition. Multiplying the fast
+/// two-pole golden by this factor anchors it to the transient reference (a
+/// control variate). Degenerate tiny wires get 1; the ratio is clamped to
+/// `[0.3, 3]`.
+///
+/// # Panics
+///
+/// Panics if `loads` does not have one entry per sink.
+pub fn golden_scales(tech: &Technology, tree: &RcTree, driver: &Cell, loads: &[&Cell]) -> Vec<f64> {
+    let mut plan = WirePlan::new();
+    let slot = plan.push_net(tech, tree, driver, loads, None);
+    let mut scratch = plan.scratch();
+    let totals = plan.nominal(slot, &mut scratch);
+    let rd = plan.rd_nom[slot];
+    let tau = rd * totals.c_eff;
+    let mut loaded = tree.clone();
+    for (k, &sink) in tree.sinks().iter().enumerate() {
+        loaded.add_cap(sink, loads[k].input_cap(tech));
+    }
+    let mut cfg = TransientConfig::auto(&loaded, tech.vdd, NOMINAL_SLEW, rd);
+    cfg.dt = (cfg.t_max / NOMINAL_STEPS).max(1e-16);
+    let reference = simulate_ramp(&loaded, &cfg);
+    let cell_ramp = lumped_t50_ramp(tau, NOMINAL_SLEW);
+    let cell_step = core::f64::consts::LN_2 * tau;
+    scratch
+        .delays()
+        .iter()
+        .zip(&reference.sink_cross)
+        .map(|(&two_pole, &cross)| {
+            let tp = two_pole - cell_step;
+            let tr = cross - cell_ramp;
+            if tp.abs() < 0.02e-12 || tr.abs() < 0.02e-12 {
+                1.0
+            } else {
+                (tr / tp).clamp(0.3, 3.0)
+            }
+        })
+        .collect()
 }
 
 /// Runs the full wire Monte Carlo, returning one [`McResult`] per sink.
@@ -681,7 +747,25 @@ mod tests {
     use nsigma_cells::cell::CellKind;
     use nsigma_interconnect::elmore::{elmore_delay, moments_all};
     use nsigma_interconnect::generator::{generate_net, random_net, NetGenConfig};
+    use nsigma_interconnect::rctree::NodeId;
     use proptest::prelude::*;
+
+    /// Folds a driver resistance into a tree: returns the extended tree, the
+    /// image of the original root, and the images of the original sinks.
+    fn fold_driver(tree: &RcTree, driver_res: f64) -> (RcTree, NodeId, Vec<NodeId>) {
+        let mut out = RcTree::new(1e-21);
+        let mut map = Vec::with_capacity(tree.len());
+        // Old root hangs off the new source through the driver resistance.
+        let root_img = out.add_node(RcTree::root(), driver_res, tree.cap(RcTree::root()));
+        map.push(root_img);
+        for id in tree.topo_order().skip(1) {
+            let parent_img = map[tree.parent(id).expect("non-root").index()];
+            let img = out.add_node(parent_img, tree.res(id), tree.cap(id));
+            map.push(img);
+        }
+        let sinks = tree.sinks().iter().map(|s| map[s.index()]).collect();
+        (out, root_img, sinks)
+    }
 
     /// The tree-based evaluation the flat kernel replaced: clone-and-scale
     /// the tree, fold the driver in as a new root edge, and take the moments
@@ -756,7 +840,9 @@ mod tests {
     /// Runs the kernel and the oracle on the same draws and asserts equal
     /// bits, and that both consumed the same number of draws. In two-pole
     /// mode, [`WirePlan::sample_sink`] must also land on each sink's bits
-    /// and consume the same draws.
+    /// and consume the same draws, and [`WirePlan::nominal`] must match the
+    /// driver-folded moments of the pin-loaded tree at nominal `rd` under
+    /// both associations of the lumped baseline.
     fn assert_kernel_matches_oracle(tree: &RcTree, seed: u64, mode: WireGoldenMode) {
         let tech = Technology::synthetic_28nm();
         let variation = VariationModel::new(&tech);
@@ -818,6 +904,34 @@ mod tests {
                     next_draw,
                     "sink {pos}: draw count differs"
                 );
+            }
+
+            let rd = driver.drive_resistance(&tech);
+            let mut loaded = tree.clone();
+            for (k, &sink) in tree.sinks().iter().enumerate() {
+                loaded.add_cap(sink, loads[k].input_cap(&tech));
+            }
+            let total_cap = loaded.total_cap();
+            let c_eff = effective_cap(&tech, &driver, &loaded, total_cap);
+            let (folded, _root_img, sink_imgs) = fold_driver(&loaded, rd);
+            let (m1, m2) = moments_all(&folded);
+            let totals = plan.nominal(0, &mut scratch);
+            assert_eq!(
+                (totals.total_cap.to_bits(), totals.c_eff.to_bits()),
+                (total_cap.to_bits(), c_eff.to_bits()),
+                "nominal totals, seed {seed}"
+            );
+            let ln2 = core::f64::consts::LN_2;
+            for lumped in [ln2 * rd * c_eff, ln2 * (rd * c_eff)] {
+                for (pos, (s, &delay)) in sink_imgs.iter().zip(scratch.delays()).enumerate() {
+                    let k = s.index();
+                    let oracle = two_pole_delay(m1[k].max(1e-18), m2[k].max(1e-33)) - lumped;
+                    assert_eq!(
+                        (delay - lumped).to_bits(),
+                        oracle.to_bits(),
+                        "nominal sink {pos}, seed {seed}"
+                    );
+                }
             }
         }
     }

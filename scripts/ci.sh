@@ -27,11 +27,13 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 # Request paths must stay panic-free: no `.unwrap(` outside #[cfg(test)]
 # in the server, CLI and yield-engine sources, in the session engine
 # behind every request (typed QueryError + poison-tolerant locks replaced
-# them; see DESIGN.md §8–9), nor in the golden Monte-Carlo kernel that
-# yield_design runs (trial walk, wire kernel, path walk, two-pole crossing).
+# them; see DESIGN.md §8–9), in the golden Monte-Carlo kernel that
+# yield_design runs (trial walk, wire kernel, path walk, two-pole crossing),
+# in the design's golden-scale recompute that eco_resize reaches, in the
+# nominal wire means compile reads, nor in the coefficients-file parser.
 unwrap_hits=$(for f in crates/server/src/*.rs crates/cli/src/*.rs crates/yield/src/*.rs \
-    crates/core/src/{session,compiled,sdf}.rs \
-    crates/mc/src/{trial,wire_sim,path_sim}.rs crates/interconnect/src/metrics.rs; do
+    crates/core/src/{session,compiled,sdf,wire_model,coeff_store}.rs \
+    crates/mc/src/{trial,wire_sim,path_sim,design}.rs crates/interconnect/src/metrics.rs; do
   awk '/#\[cfg\(test\)\]/{exit} /\.unwrap\(/{print FILENAME ":" FNR ": " $0}' "$f"
 done)
 if [ -n "$unwrap_hits" ]; then

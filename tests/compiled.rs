@@ -307,3 +307,57 @@ fn eight_threads_match_reference_bit_for_bit() {
         }
     });
 }
+
+/// FNV-1a over a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// FNV-1a over the bits of a sequence of floats.
+fn fnv1a_bits<'a>(values: impl IntoIterator<Item = &'a f64>) -> u64 {
+    fnv1a(values.into_iter().flat_map(|v| v.to_bits().to_le_bytes()))
+}
+
+/// Hashes of the nominal wire outputs on c432 (seed-7 parasitics): every
+/// net's golden scales, every net's nominal wire means (actual driver, or
+/// the FO4 port driver on primary inputs), and the SDF text of a session,
+/// which reads the compiled per-sink wire arrays and the calibrated wire
+/// model. The session-vs-reference suite cannot see drift here because
+/// both sides share `nominal_wire_means`.
+const PINNED_GOLDEN_SCALES: u64 = 0x905b_73aa_b5df_66a7;
+const PINNED_NOMINAL_MEANS: u64 = 0xfe84_0fb7_150b_5dcb;
+const PINNED_SDF: u64 = 0x782c_44e6_17c9_6e9c;
+
+#[test]
+fn nominal_wire_outputs_are_pinned() {
+    let tech = Technology::synthetic_28nm();
+    let lib = CellLibrary::standard();
+    let design = c432_design(&tech, &lib);
+    let fo4 = nsigma_cells::Cell::new(nsigma_cells::CellKind::Inv, 4);
+    let mut scales = Vec::new();
+    let mut means = Vec::new();
+    for net in design.netlist.net_ids() {
+        scales.extend(design.wire_golden_scale(net).unwrap_or_default());
+        let Some(tree) = design.parasitic(net) else {
+            continue;
+        };
+        let driver = design.driver_cell(net).unwrap_or(&fo4);
+        let loads = design.load_cells(net);
+        means.extend(nsigma_core::wire_model::nominal_wire_means(
+            &tech, tree, &loads, driver,
+        ));
+    }
+    let timer = build_timer(&tech, &lib);
+    let session =
+        TimingSession::new(&timer, design, MergeRule::Pessimistic).expect("session build");
+    let sdf = nsigma_core::sdf::write_sdf(&session);
+    assert_eq!(fnv1a_bits(&scales), PINNED_GOLDEN_SCALES, "golden scales");
+    assert_eq!(
+        fnv1a_bits(&means),
+        PINNED_NOMINAL_MEANS,
+        "nominal wire means"
+    );
+    assert_eq!(fnv1a(sdf.bytes()), PINNED_SDF, "SDF text");
+}
