@@ -183,7 +183,7 @@ pub fn characterize_cell_threads(
         })
         .collect();
 
-    let results: Vec<(usize, GridPoint)> = crossbeam::scope(|scope| {
+    let results: Vec<(usize, GridPoint)> = std::thread::scope(|scope| {
         let n_threads = threads.max(1).min(chunks.len().max(1));
         let mut handles = Vec::new();
         for t in 0..n_threads {
@@ -191,7 +191,7 @@ pub fn characterize_cell_threads(
                 chunks.iter().copied().skip(t).step_by(n_threads).collect();
             let variation = &variation;
             let seeds = &seeds;
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 my.into_iter()
                     .map(|(idx, slew, load)| {
                         let point_seed = seeds.tagged_seed(idx as u64);
@@ -215,8 +215,7 @@ pub fn characterize_cell_threads(
             .into_iter()
             .flat_map(|h| h.join().expect("characterization worker panicked"))
             .collect()
-    })
-    .expect("characterization scope failed");
+    });
 
     for (idx, p) in results {
         points[idx] = Some(p);

@@ -553,7 +553,6 @@ pub fn run_serve(args: &Args) -> Result<String, FlowError> {
         timer: timer_cfg,
         coeff_path: args.get("coeff").map(std::path::PathBuf::from),
         lint_on_register: !args.flag("no-lint"),
-        ..ServerConfig::default()
     };
     let handle = Server::start(cfg)?;
     println!("nsigma-server listening on {}", handle.addr());

@@ -147,7 +147,7 @@ impl NsigmaTimer {
             .map(|n| n.get())
             .unwrap_or(4)
             .min(cells.len());
-        let indexed: Vec<(usize, MomentGrid)> = crossbeam::scope(|scope| {
+        let indexed: Vec<(usize, MomentGrid)> = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for t in 0..n_threads {
                 let my: Vec<(usize, &Cell)> = cells
@@ -158,7 +158,7 @@ impl NsigmaTimer {
                     .step_by(n_threads)
                     .collect();
                 let seeds = &seeds;
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     my.into_iter()
                         .map(|(idx, cell)| {
                             let char_cfg = CharacterizeConfig::standard(
@@ -174,8 +174,7 @@ impl NsigmaTimer {
                 .into_iter()
                 .flat_map(|h| h.join().expect("cell characterization worker panicked"))
                 .collect()
-        })
-        .expect("characterization scope failed");
+        });
 
         let mut grids: Vec<Option<MomentGrid>> = vec![None; cells.len()];
         for (idx, grid) in indexed {

@@ -9,7 +9,7 @@
 //! variability fit — is constructed **once** at startup (or reloaded from
 //! the Fig. 5 coefficients file) and then shared immutably across a worker
 //! pool. Each registered design becomes a [`nsigma_core::TimingSession`]
-//! in the sharded store, so every endpoint runs the same compiled query
+//! in the design store, so every endpoint runs the same compiled query
 //! engine as the library and CLI, and query failures arrive as typed
 //! [`nsigma_core::QueryError`]s mapped onto the protocol's error codes
 //! (including `unknown_cell`) rather than worker panics. Clients register
@@ -35,11 +35,12 @@
 //!   round-trip formatting, and the stage model is a pure function of
 //!   `(cell, slew, load)` — so a remote answer equals an in-process
 //!   [`nsigma_core::NsigmaTimer`] answer under `==`.
-//! * **Backpressure, not buffering.** Jobs flow through a bounded
-//!   crossbeam channel; a full queue answers `overloaded` immediately, and
-//!   jobs that outlive their queue deadline answer `deadline` instead of
-//!   consuming a worker. A request line longer than [`MAX_REQUEST_BYTES`]
-//!   answers `bad_request` and closes its connection.
+//! * **Backpressure, not buffering.** Jobs flow through a bounded queue
+//!   (`std` `Mutex` + `Condvar`); a full queue answers `overloaded`
+//!   immediately, and jobs that outlive their queue deadline answer
+//!   `deadline` instead of consuming a worker. A request line longer than
+//!   [`MAX_REQUEST_BYTES`] answers `bad_request` and closes its
+//!   connection.
 //! * **Graceful shutdown.** The listener stops accepting, connections
 //!   finish their in-flight request, and the worker pool drains everything
 //!   already queued before the process exits.
@@ -57,7 +58,7 @@
 //!
 //! Module map: [`json`] (hand-rolled parser/writer), [`protocol`]
 //! (request/response schema), [`pool`] (bounded queue + workers),
-//! [`store`] (sharded design registry), [`metrics`] (counters +
+//! [`store`] (design registry), [`metrics`] (counters +
 //! latency histograms), [`server`] (engine and lifecycle), [`client`]
 //! (blocking test/CLI client).
 

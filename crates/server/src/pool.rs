@@ -1,18 +1,26 @@
 //! The bounded job queue and worker pool.
 //!
-//! Connections submit parsed requests as [`Job`]s through a bounded
-//! crossbeam channel; `try_send` gives immediate backpressure (the
-//! `overloaded` protocol error) instead of unbounded queue growth. Workers
-//! share the engine through an `Arc` and each job carries its own
-//! single-slot reply channel back to the submitting connection.
+//! Connections submit parsed requests as [`Job`]s into a bounded queue: a
+//! `VecDeque` under a `Mutex`, with a `Condvar` that wakes one idle worker
+//! per job. A full queue refuses the job at once (the `overloaded`
+//! protocol error) instead of growing. Workers share the engine through
+//! an `Arc`, take the lock only to pop a job, and each job carries its own
+//! reply channel back to the submitting connection.
 //!
-//! Shutdown is graceful by construction: dropping the sender disconnects
-//! the channel, and the channel delivers every already-queued job before
-//! reporting disconnection, so in-flight work drains before workers exit.
+//! The queue is not a `std::sync::mpsc::sync_channel`: its single receiver
+//! would have to sit behind a mutex that one worker holds while it blocks
+//! in `recv`, so every job would also wake the worker parked on that mutex.
+//! On the daemon's query mix that hand-off cost throughput and tail
+//! latency (EXPERIMENTS.md, "Concurrency on `std` alone").
+//!
+//! Shutdown is graceful by construction: closing the queue wakes every
+//! worker, and a worker takes every already-queued job before it sees the
+//! queue closed, so in-flight work drains before workers exit.
 
 use crate::protocol::Request;
-use crossbeam::channel::{bounded, Sender, TrySendError};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::collections::VecDeque;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// One queued request plus everything needed to answer it.
@@ -28,8 +36,8 @@ pub struct Job {
 impl Job {
     /// Creates a job stamped `now`, returning it with the paired receiver
     /// the submitter waits on.
-    pub fn new(request: Request) -> (Self, crossbeam::channel::Receiver<String>) {
-        let (tx, rx) = bounded(1);
+    pub fn new(request: Request) -> (Self, Receiver<String>) {
+        let (tx, rx) = channel();
         (
             Self {
                 request,
@@ -50,9 +58,40 @@ pub enum SubmitError {
     ShuttingDown,
 }
 
+/// Jobs waiting for a worker.
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Cleared by [`WorkerPool::shutdown`]; no job is accepted after.
+    open: bool,
+}
+
+/// The queue and the condition variable its workers wait on.
+struct Shared {
+    queue: Mutex<Queue>,
+    /// Signalled once per submitted job, and to every worker on shutdown.
+    ready: Condvar,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks until a job is queued and returns it, or returns `None` once
+    /// the queue is closed and empty. The lock is released on return, so
+    /// it is never held while a job runs.
+    fn next_job(&self) -> Option<Job> {
+        self.ready
+            .wait_while(self.lock(), |q| q.open && q.jobs.is_empty())
+            .unwrap_or_else(PoisonError::into_inner)
+            .jobs
+            .pop_front()
+    }
+}
+
 /// A fixed set of worker threads draining the bounded queue.
 pub struct WorkerPool {
-    tx: Mutex<Option<Sender<Job>>>,
+    shared: Arc<Shared>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     capacity: usize,
 }
@@ -64,18 +103,26 @@ impl WorkerPool {
     where
         F: Fn(Job) + Send + Sync + 'static,
     {
-        let (tx, rx) = bounded::<Job>(capacity.max(1));
+        let capacity = capacity.max(1);
+        let queue = Queue {
+            jobs: VecDeque::with_capacity(capacity),
+            open: true,
+        };
+        let shared = Arc::new(Shared {
+            queue: Mutex::new(queue),
+            ready: Condvar::new(),
+        });
         // A worker that fails to spawn (thread exhaustion) is dropped; the
         // pool serves with however many threads came up, and submitters
         // time out rather than the server aborting.
         let workers = (0..threads.max(1))
             .filter_map(|i| {
-                let rx = rx.clone();
+                let shared = Arc::clone(&shared);
                 let handler = Arc::clone(&handler);
                 std::thread::Builder::new()
                     .name(format!("nsigma-worker-{i}"))
                     .spawn(move || {
-                        while let Ok(job) = rx.recv() {
+                        while let Some(job) = shared.next_job() {
                             handler(job);
                         }
                     })
@@ -83,9 +130,9 @@ impl WorkerPool {
             })
             .collect();
         Self {
-            tx: Mutex::new(Some(tx)),
+            shared,
             workers: Mutex::new(workers),
-            capacity: capacity.max(1),
+            capacity,
         }
     }
 
@@ -96,12 +143,7 @@ impl WorkerPool {
 
     /// Jobs currently waiting in the queue.
     pub fn queued(&self) -> usize {
-        self.tx
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .map(|tx| tx.len())
-            .unwrap_or(0)
+        self.shared.lock().jobs.len()
     }
 
     /// Non-blocking submission.
@@ -111,26 +153,24 @@ impl WorkerPool {
     /// [`SubmitError::Overloaded`] when the queue is full,
     /// [`SubmitError::ShuttingDown`] after [`WorkerPool::shutdown`].
     pub fn submit(&self, job: Job) -> Result<(), SubmitError> {
-        let guard = self.tx.lock().unwrap_or_else(PoisonError::into_inner);
-        match guard.as_ref() {
-            None => Err(SubmitError::ShuttingDown),
-            Some(tx) => match tx.try_send(job) {
-                Ok(()) => Ok(()),
-                Err(TrySendError::Full(_)) => Err(SubmitError::Overloaded),
-                Err(TrySendError::Disconnected(_)) => Err(SubmitError::ShuttingDown),
-            },
+        let mut queue = self.shared.lock();
+        if !queue.open {
+            return Err(SubmitError::ShuttingDown);
         }
+        if queue.jobs.len() >= self.capacity {
+            return Err(SubmitError::Overloaded);
+        }
+        queue.jobs.push_back(job);
+        drop(queue);
+        self.shared.ready.notify_one();
+        Ok(())
     }
 
     /// Stops accepting jobs, drains everything already queued, and joins
     /// the workers.
     pub fn shutdown(&self) {
-        drop(
-            self.tx
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take(),
-        );
+        self.shared.lock().open = false;
+        self.shared.ready.notify_all();
         let workers: Vec<_> = self
             .workers
             .lock()
@@ -197,9 +237,41 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert!(saw_overload, "full queue must reject with Overloaded");
+        assert_eq!(pool.queued(), 1, "j2 waits behind the blocked worker");
         gate.store(1, Ordering::SeqCst);
         assert_eq!(r1.recv_timeout(Duration::from_secs(5)).unwrap(), "ok");
         assert_eq!(r2.recv_timeout(Duration::from_secs(5)).unwrap(), "ok");
+        assert_eq!(pool.queued(), 0);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn workers_serve_jobs_concurrently() {
+        // Each job waits for the other to start: both finish "together"
+        // only if two workers run jobs at the same time.
+        let started = AtomicUsize::new(0);
+        let handler = Arc::new(move |job: Job| {
+            started.fetch_add(1, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while started.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let met = started.load(Ordering::SeqCst) >= 2;
+            let _ = job
+                .reply
+                .send(if met { "together" } else { "alone" }.into());
+        });
+        let pool = WorkerPool::new(2, 4, handler);
+        let (j1, r1) = Job::new(Request::Stats);
+        let (j2, r2) = Job::new(Request::Stats);
+        pool.submit(j1).unwrap();
+        pool.submit(j2).unwrap();
+        for rx in [r1, r2] {
+            assert_eq!(
+                rx.recv_timeout(Duration::from_secs(10)).unwrap(),
+                "together"
+            );
+        }
         pool.shutdown();
     }
 

@@ -29,8 +29,8 @@
 //! against a registered design: `"target_period"` (seconds; defaults to
 //! the analytic +3σ quantile), `"ci"` (95 % half-width target, default
 //! 0.005), `"importance"` (boolean, default `false` — enables the
-//! mean-shifted sampler), `"samples"` (hard cap, default 65536) and
-//! `"seed"`.
+//! mean-shifted sampler), `"samples"` (hard cap, default 65536, at most
+//! [`MAX_YIELD_SAMPLES`]) and `"seed"`.
 //!
 //! `register_design` lints the generated design before admitting it and
 //! answers `lint_failed` (listing the offending diagnostic codes) when
@@ -38,6 +38,13 @@
 //! unchecked behavior.
 
 use crate::json::{self, Value};
+
+/// The largest `"samples"` cap a `yield_design` request may ask for, 16×
+/// the 65 536 default. The run keeps every trial's delay and weight and
+/// holds the design's read lock throughout, so a larger cap is rejected
+/// rather than letting one request grow memory and block `eco_resize`
+/// without limit.
+pub const MAX_YIELD_SAMPLES: usize = 1 << 20;
 
 /// A parsed, validated request.
 #[derive(Debug, Clone, PartialEq)]
@@ -293,12 +300,16 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
                 .map(|s| s.as_u64().ok_or(ProtoError::BadField("seed")))
                 .transpose()?
                 .unwrap_or(0x11E1D);
+            let samples = usize_field(&v, "samples", Some(65_536))?;
+            if samples > MAX_YIELD_SAMPLES {
+                return Err(ProtoError::BadField("samples"));
+            }
             Ok(Request::YieldDesign {
                 design: str_field(&v, "design")?,
                 target_period,
                 ci,
                 importance,
-                samples: usize_field(&v, "samples", Some(65_536))?,
+                samples,
                 seed,
             })
         }
@@ -534,6 +545,20 @@ mod tests {
             parse_request(r#"{"cmd":"yield_design","design":"d","importance":"yes"}"#).unwrap_err(),
             ProtoError::BadField("importance")
         );
+        // A sample cap past the ceiling is refused; the ceiling itself parses.
+        let with_samples =
+            |n: usize| format!(r#"{{"cmd":"yield_design","design":"d","samples":{n}}}"#);
+        assert_eq!(
+            parse_request(&with_samples(MAX_YIELD_SAMPLES + 1)).unwrap_err(),
+            ProtoError::BadField("samples")
+        );
+        assert!(matches!(
+            parse_request(&with_samples(MAX_YIELD_SAMPLES)).unwrap(),
+            Request::YieldDesign {
+                samples: MAX_YIELD_SAMPLES,
+                ..
+            }
+        ));
     }
 
     #[test]

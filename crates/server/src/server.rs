@@ -5,11 +5,12 @@
 //! newline-delimited JSON protocol of [`crate::protocol`]. Each connection
 //! gets a reader thread; parsed requests flow through the bounded
 //! [`WorkerPool`] into the shared [`Engine`], which owns the timer behind
-//! an `Arc` and one [`TimingSession`] per registered design behind the
-//! sharded store. Sessions carry their own scratch pools, so concurrent
-//! readers of one design never contend on thread-local state, and every
-//! query failure surfaces as a typed [`QueryError`] mapped onto the
-//! protocol's error codes instead of a panic.
+//! an `Arc` and one [`TimingSession`] per registered design, each behind
+//! its own `RwLock` in the design store. Sessions carry their own scratch
+//! pools, so concurrent readers of one design never contend on
+//! thread-local state, and every query failure surfaces as a typed
+//! [`QueryError`] mapped onto the protocol's error codes instead of a
+//! panic.
 //!
 //! Shutdown — from the `shutdown` endpoint or [`ServerHandle::shutdown`] —
 //! raises a flag, wakes the blocking accept with a self-connection, joins
@@ -60,8 +61,6 @@ pub struct ServerConfig {
     /// When set, coefficients are loaded from this file if it exists
     /// (skipping recharacterization) and written there after a fresh build.
     pub coeff_path: Option<PathBuf>,
-    /// Shard count of the design store.
-    pub store_shards: usize,
     /// Lint designs on `register_design` and reject those with
     /// error-severity findings. Individual requests can still opt out with
     /// `"lint": false`; turning this off disables the gate entirely.
@@ -77,7 +76,6 @@ impl Default for ServerConfig {
             deadline: Duration::from_secs(5),
             timer: TimerConfig::standard(1),
             coeff_path: None,
-            store_shards: 8,
             lint_on_register: true,
         }
     }
@@ -118,7 +116,7 @@ impl Engine {
             tech,
             lib,
             timer,
-            store: DesignStore::new(cfg.store_shards),
+            store: DesignStore::default(),
             metrics: Metrics::new(),
             deadline: cfg.deadline,
             lint_on_register: cfg.lint_on_register,

@@ -1,10 +1,10 @@
-//! A sharded, RwLock-per-shard design store.
+//! The design store: a name map of per-design `RwLock`s.
 //!
 //! Each registered design lives behind its own `RwLock` so concurrent
 //! read-only queries (path analysis, worst-paths) proceed in parallel
-//! while an `eco_resize` takes the write side of just that design.
-//! Sharding the name→design map keeps registration from serializing
-//! against lookups on unrelated shards.
+//! while an `eco_resize` takes the write side of just that design. The
+//! name map itself is written only by `register_design`, so queries share
+//! its read side.
 
 use nsigma_core::{NsigmaTimer, TimingSession};
 use std::collections::HashMap;
@@ -14,38 +14,17 @@ use std::sync::{Arc, PoisonError, RwLock};
 /// through an [`Arc`].
 pub type DesignSlot = RwLock<TimingSession<Arc<NsigmaTimer>>>;
 
-/// The sharded store.
+/// Registered designs by name.
+#[derive(Default)]
 pub struct DesignStore {
-    shards: Vec<RwLock<HashMap<String, Arc<DesignSlot>>>>,
+    designs: RwLock<HashMap<String, Arc<DesignSlot>>>,
 }
 
 impl DesignStore {
-    /// Creates a store with `shards` shards (at least 1).
-    pub fn new(shards: usize) -> Self {
-        Self {
-            shards: (0..shards.max(1))
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    /// FNV-1a sharding on the design name.
-    fn shard(&self, name: &str) -> &RwLock<HashMap<String, Arc<DesignSlot>>> {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in name.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-        &self.shards[(h % self.shards.len() as u64) as usize]
-    }
-
     /// Registers a design. Returns `false` (and leaves the store unchanged)
     /// if the name is already taken.
     pub fn insert(&self, name: &str, slot: TimingSession<Arc<NsigmaTimer>>) -> bool {
-        let mut map = self
-            .shard(name)
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut map = self.designs.write().unwrap_or_else(PoisonError::into_inner);
         if map.contains_key(name) {
             return false;
         }
@@ -55,7 +34,7 @@ impl DesignStore {
 
     /// Looks up a design by name.
     pub fn get(&self, name: &str) -> Option<Arc<DesignSlot>> {
-        self.shard(name)
+        self.designs
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .get(name)
@@ -64,10 +43,10 @@ impl DesignStore {
 
     /// Number of registered designs.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
+        self.designs
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// True when nothing is registered.
@@ -116,7 +95,7 @@ mod tests {
     #[test]
     fn insert_get_and_duplicate_rejection() {
         let (timer, design) = tiny();
-        let store = DesignStore::new(4);
+        let store = DesignStore::default();
         assert!(store.is_empty());
         let s =
             TimingSession::new(Arc::clone(&timer), design.clone(), MergeRule::Pessimistic).unwrap();
@@ -131,7 +110,7 @@ mod tests {
     #[test]
     fn shared_timer_survives_many_designs() {
         let (timer, design) = tiny();
-        let store = DesignStore::new(2);
+        let store = DesignStore::default();
         for i in 0..8 {
             let s = TimingSession::new(Arc::clone(&timer), design.clone(), MergeRule::Pessimistic)
                 .unwrap();

@@ -7,6 +7,25 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 
 cargo fmt --check
+
+# Every [dependencies] entry of a workspace crate must be named (hyphens
+# as underscores) somewhere in that crate's src/ or benches/; a manifest
+# entry no source uses fails the gate.
+unused_deps=$(for manifest in crates/*/Cargo.toml; do
+  dir=$(dirname "$manifest")
+  srcs=("$dir/src")
+  if [ -d "$dir/benches" ]; then srcs+=("$dir/benches"); fi
+  for dep in $(awk '/^\[/ { in_deps = ($0 == "[dependencies]"); next }
+                    in_deps && /^[A-Za-z0-9_-]+ *=/ { print $1 }' "$manifest"); do
+    grep -rqw "${dep//-/_}" "${srcs[@]}" || echo "$manifest: $dep"
+  done
+done)
+if [ -n "$unused_deps" ]; then
+  echo "ci: [dependencies] entries no source uses:" >&2
+  echo "$unused_deps" >&2
+  exit 1
+fi
+
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 # The session-vs-reference differential suite must pass in release too: the
