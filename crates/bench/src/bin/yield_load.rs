@@ -105,7 +105,7 @@ fn main() {
         scaling.push((threads, ms));
     }
     let speedup = scaling[0].1 / scaling[1].1;
-    let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
+    let host_cpus = nsigma_stats::par::host_threads();
     println!(
         "speedup {}t over 1t: {speedup:.2}x on {host_cpus} host cpu(s)",
         scaling[1].0

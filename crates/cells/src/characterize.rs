@@ -5,18 +5,24 @@
 //! `[μ, σ, γ, κ]`, the seven sigma-level quantiles, and the mean output slew.
 //! The result is the moment LUT the N-sigma model calibrates against — the
 //! synthetic equivalent of an LVF-annotated Liberty table.
+//!
+//! [`characterize_cells`] runs every (cell, grid point) of a library as one
+//! [`nsigma_stats::par::fill`] fan-out. A point's seed is tagged by its grid
+//! index under its cell's seed, so every grid depends on its row index
+//! alone, never on the thread count or the schedule.
 
 use crate::cell::Cell;
 use crate::timing::sample_arc;
 use nsigma_process::{Technology, VariationModel};
 use nsigma_stats::moments::Moments;
+use nsigma_stats::par;
 use nsigma_stats::quantile::QuantileSet;
 use nsigma_stats::rng::SeedStream;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 /// Characterization data for one (slew, load) grid point.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GridPoint {
     /// Input slew of this point (s).
     pub slew: f64,
@@ -105,12 +111,11 @@ impl CharacterizeConfig {
     }
 }
 
-/// Characterizes one cell over the configured grid.
+/// Characterizes one cell over the configured grid: the one-cell case of
+/// [`characterize_cells`].
 ///
 /// Every grid point draws fresh global + local variation per trial (the
-/// single-cell characterization setting of §III-B). Points are processed in
-/// parallel; seeding is per-point, so the result is independent of thread
-/// scheduling.
+/// single-cell characterization setting of §III-B).
 ///
 /// # Panics
 ///
@@ -135,100 +140,65 @@ impl CharacterizeConfig {
 /// assert!(grid.at(0, 0).moments.mean > 0.0);
 /// ```
 pub fn characterize_cell(tech: &Technology, cell: &Cell, cfg: &CharacterizeConfig) -> MomentGrid {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    characterize_cell_threads(tech, cell, cfg, threads)
+    characterize_cells(tech, &[(cell, cfg.clone())]).remove(0)
 }
 
-/// [`characterize_cell`] with an explicit worker-thread cap.
+/// Characterizes each `(cell, config)` pair over its grid, as one flat
+/// fan-out over every (cell, grid point) on the host's threads.
 ///
-/// Callers that already fan out across cells (e.g. the timer build) pass
-/// `threads = 1` to keep the machine from oversubscribing; the numbers are
-/// identical for any thread count because seeding is per grid point.
+/// Grid point `k` (row-major) of a cell is seeded by
+/// `SeedStream::new(config.seed).tagged_seed(k)`, so each grid is a
+/// function of its own pair alone: independent of the other pairs, the
+/// thread count and the schedule.
 ///
 /// # Panics
 ///
-/// Panics if the configuration axes are empty or `samples == 0`.
-pub fn characterize_cell_threads(
+/// Panics if any configuration has an empty axis or `samples == 0`.
+pub fn characterize_cells(
     tech: &Technology,
-    cell: &Cell,
-    cfg: &CharacterizeConfig,
-    threads: usize,
-) -> MomentGrid {
-    assert!(
-        !cfg.slews.is_empty() && !cfg.loads.is_empty(),
-        "characterization axes must be non-empty"
-    );
-    assert!(cfg.samples > 0, "characterization needs samples");
+    cells: &[(&Cell, CharacterizeConfig)],
+) -> Vec<MomentGrid> {
+    let mut starts = Vec::with_capacity(cells.len());
+    let mut total = 0;
+    for (_, cfg) in cells {
+        assert!(
+            !cfg.slews.is_empty() && !cfg.loads.is_empty(),
+            "characterization axes must be non-empty"
+        );
+        assert!(cfg.samples > 0, "characterization needs samples");
+        starts.push(total);
+        total += cfg.slews.len() * cfg.loads.len();
+    }
 
     let variation = VariationModel::new(tech);
-    let seeds = SeedStream::new(cfg.seed);
+    let mut points = vec![GridPoint::default(); total];
+    let mut workers = vec![(); par::host_threads()];
+    // Row r is point r - starts[c] of the cell c whose range holds r.
+    par::fill(&mut points, 1, &mut workers, |row, _, out| {
+        let c = starts.partition_point(|&s| s <= row) - 1;
+        let (cell, cfg) = &cells[c];
+        let k = row - starts[c];
+        let (slew, load) = (
+            cfg.slews[k / cfg.loads.len()],
+            cfg.loads[k % cfg.loads.len()],
+        );
+        let seed = SeedStream::new(cfg.seed).tagged_seed(k as u64);
+        out[0] = characterize_point(tech, &variation, cell, slew, load, cfg.samples, seed);
+    })
+    .expect("characterization worker panicked");
 
-    let n_points = cfg.slews.len() * cfg.loads.len();
-    let mut points: Vec<Option<GridPoint>> = vec![None; n_points];
-
-    // Parallelize across grid points; each point is seeded by its index so
-    // the output is deterministic regardless of scheduling.
-    let chunks: Vec<(usize, f64, f64)> = cfg
-        .slews
+    let mut points = points.into_iter();
+    cells
         .iter()
-        .enumerate()
-        .flat_map(|(i, &s)| {
-            cfg.loads
-                .iter()
-                .enumerate()
-                .map(move |(j, &c)| (i * cfg.loads.len() + j, s, c))
-                .collect::<Vec<_>>()
+        .map(|(_, cfg)| MomentGrid {
+            slews: cfg.slews.clone(),
+            loads: cfg.loads.clone(),
+            points: points
+                .by_ref()
+                .take(cfg.slews.len() * cfg.loads.len())
+                .collect(),
         })
-        .collect();
-
-    let results: Vec<(usize, GridPoint)> = std::thread::scope(|scope| {
-        let n_threads = threads.max(1).min(chunks.len().max(1));
-        let mut handles = Vec::new();
-        for t in 0..n_threads {
-            let my: Vec<(usize, f64, f64)> =
-                chunks.iter().copied().skip(t).step_by(n_threads).collect();
-            let variation = &variation;
-            let seeds = &seeds;
-            handles.push(scope.spawn(move || {
-                my.into_iter()
-                    .map(|(idx, slew, load)| {
-                        let point_seed = seeds.tagged_seed(idx as u64);
-                        (
-                            idx,
-                            characterize_point(
-                                tech,
-                                variation,
-                                cell,
-                                slew,
-                                load,
-                                cfg.samples,
-                                point_seed,
-                            ),
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            }));
-        }
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("characterization worker panicked"))
-            .collect()
-    });
-
-    for (idx, p) in results {
-        points[idx] = Some(p);
-    }
-
-    MomentGrid {
-        slews: cfg.slews.clone(),
-        loads: cfg.loads.clone(),
-        points: points
-            .into_iter()
-            .map(|p| p.expect("every grid point characterized"))
-            .collect(),
-    }
+        .collect()
 }
 
 /// Characterizes a single operating point (sequential inner loop).

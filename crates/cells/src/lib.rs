@@ -37,7 +37,7 @@ pub mod library;
 pub mod timing;
 
 pub use cell::{Cell, CellKind};
-pub use characterize::{characterize_cell, CharacterizeConfig, MomentGrid};
+pub use characterize::{characterize_cell, characterize_cells, CharacterizeConfig, MomentGrid};
 pub use library::{CellId, CellLibrary};
 pub use timing::{nominal_arc, sample_arc, ArcSample};
 

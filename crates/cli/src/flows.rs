@@ -2,7 +2,7 @@
 //! subprocess): characterize, analyze and golden-check.
 
 use crate::args::{Args, ArgsError};
-use nsigma_cells::characterize::{characterize_cell, CharacterizeConfig};
+use nsigma_cells::characterize::{characterize_cells, CharacterizeConfig};
 use nsigma_cells::liberty::{write_liberty, LibertyCell};
 use nsigma_cells::CellLibrary;
 use nsigma_core::report::{report_path, report_worst_paths};
@@ -13,8 +13,8 @@ use nsigma_mc::design::Design;
 use nsigma_mc::path_sim::{find_critical_path, simulate_path_mc, PathMcConfig};
 use nsigma_netlist::verilog::parse_verilog;
 use nsigma_process::Technology;
-use nsigma_server::{Client, Server, ServerConfig};
-use nsigma_stats::quantile::{QuantileSet, SigmaLevel};
+use nsigma_server::{json, yield_report_fields, Client, Server, ServerConfig};
+use nsigma_stats::quantile::SigmaLevel;
 use nsigma_yield::{YieldAnalysis, YieldConfig, YieldReport, DEFAULT_IS_SHIFT};
 
 /// A flow error: argument, IO or domain problem, with a printable message.
@@ -77,11 +77,13 @@ pub fn run_characterize(args: &Args) -> Result<String, FlowError> {
     );
     if let Some(lib_path) = args.get("lib") {
         let ccfg = CharacterizeConfig::standard(samples, seed);
-        let cells: Vec<LibertyCell> = lib
-            .iter()
-            .map(|(_, cell)| LibertyCell {
-                cell: cell.clone(),
-                grid: characterize_cell(&tech, cell, &ccfg),
+        let jobs: Vec<_> = lib.iter().map(|(_, cell)| (cell, ccfg.clone())).collect();
+        let cells: Vec<LibertyCell> = characterize_cells(&tech, &jobs)
+            .into_iter()
+            .zip(&jobs)
+            .map(|(grid, (cell, _))| LibertyCell {
+                cell: (*cell).clone(),
+                grid,
             })
             .collect();
         std::fs::write(lib_path, write_liberty("nsigma28", &tech, &cells))?;
@@ -268,53 +270,10 @@ pub fn run_yield(args: &Args) -> Result<String, FlowError> {
     };
     let report = session.yield_analysis(&cfg)?;
     Ok(if args.flag("json") {
-        yield_json(&report)
+        json::write(&json::obj(yield_report_fields(&report)))
     } else {
         yield_text(&report)
     })
-}
-
-/// Renders a yield report as one JSON object. Hand-rolled like the
-/// server's writer; `elapsed` is deliberately omitted so the output is
-/// byte-stable for a fixed seed (the CI smoke test compares two runs).
-fn yield_json(r: &YieldReport) -> String {
-    let quantiles = |q: &QuantileSet| {
-        let vals: Vec<String> = q.as_array().iter().map(|v| format!("{v}")).collect();
-        format!("[{}]", vals.join(","))
-    };
-    let curve: Vec<String> = r
-        .curve
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"period\":{},\"analytic_yield\":{},\"mc_yield\":{},\"ci_lo\":{},\"ci_hi\":{}}}",
-                p.period, p.analytic_yield, p.mc.value, p.mc.ci_lo, p.mc.ci_hi
-            )
-        })
-        .collect();
-    format!(
-        concat!(
-            "{{\"target_period\":{},\"yield\":{},\"ci_lo\":{},\"ci_hi\":{},",
-            "\"ci_half_width\":{},\"converged\":{},\"samples\":{},\"ess\":{},",
-            "\"importance_shift\":{},\"analytic_yield\":{},",
-            "\"analytic_quantiles\":{},\"mc_quantiles\":{},\"curve\":[{}],",
-            "\"threads\":{}}}"
-        ),
-        r.target_period,
-        r.estimate.value,
-        r.estimate.ci_lo,
-        r.estimate.ci_hi,
-        r.estimate.half_width(),
-        r.converged,
-        r.samples,
-        r.ess,
-        r.importance_shift,
-        r.analytic_yield,
-        quantiles(&r.analytic_quantiles),
-        quantiles(&r.mc_quantiles),
-        curve.join(","),
-        r.threads
-    )
 }
 
 /// Renders a yield report for humans.

@@ -19,7 +19,7 @@
 use crate::calibration::{MomentCalibration, C_REF, S_REF};
 use crate::cell_model::CellQuantileModel;
 use crate::wire_model::{WireCalibConfig, WireVariabilityModel};
-use nsigma_cells::characterize::{characterize_cell_threads, CharacterizeConfig, MomentGrid};
+use nsigma_cells::characterize::{characterize_cells, CharacterizeConfig};
 use nsigma_cells::{Cell, CellKind, CellLibrary};
 use nsigma_mc::design::Design;
 use nsigma_process::Technology;
@@ -135,58 +135,25 @@ impl NsigmaTimer {
         if lib.is_empty() {
             return Err(BuildTimerError::EmptyLibrary);
         }
-        // Cells are characterized independently, so fan out across them.
-        // Each cell gets a seed tagged by its library index, making the
-        // numbers a function of (master seed, cell position) alone —
-        // identical for any thread count or scheduling. The inner per-cell
-        // grid parallelism is pinned to one thread here; the outer fan-out
-        // already saturates the machine.
-        let cells: Vec<&Cell> = lib.iter().map(|(_, c)| c).collect();
+        // Each cell's seed is tagged by its library index, so the grids are
+        // a function of (master seed, cell position) alone; all cells' grid
+        // points run as one fan-out.
         let seeds = SeedStream::new(cfg.seed);
-        let n_threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(cells.len());
-        let indexed: Vec<(usize, MomentGrid)> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..n_threads {
-                let my: Vec<(usize, &Cell)> = cells
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .skip(t)
-                    .step_by(n_threads)
-                    .collect();
-                let seeds = &seeds;
-                handles.push(scope.spawn(move || {
-                    my.into_iter()
-                        .map(|(idx, cell)| {
-                            let char_cfg = CharacterizeConfig::standard(
-                                cfg.char_samples,
-                                seeds.tagged_seed(idx as u64),
-                            );
-                            (idx, characterize_cell_threads(tech, cell, &char_cfg, 1))
-                        })
-                        .collect::<Vec<_>>()
-                }));
-            }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("cell characterization worker panicked"))
-                .collect()
-        });
+        let jobs: Vec<(&Cell, CharacterizeConfig)> = lib
+            .iter()
+            .enumerate()
+            .map(|(idx, (_, cell))| {
+                let seed = seeds.tagged_seed(idx as u64);
+                (cell, CharacterizeConfig::standard(cfg.char_samples, seed))
+            })
+            .collect();
+        let grids = characterize_cells(tech, &jobs);
 
-        let mut grids: Vec<Option<MomentGrid>> = vec![None; cells.len()];
-        for (idx, grid) in indexed {
-            grids[idx] = Some(grid);
-        }
-
-        // Fit in library order so the training set (and thus the global
-        // Table I fit) is independent of which worker finished first.
+        // Fit in library order: the training set (and thus the global
+        // Table I fit) is the grids' concatenation.
         let mut calibrations = HashMap::new();
         let mut training = Vec::new();
-        for (cell, grid) in cells.iter().zip(&grids) {
-            let grid = grid.as_ref().expect("every cell characterized");
+        for ((cell, _), grid) in jobs.iter().zip(&grids) {
             for p in grid.iter() {
                 training.push((p.moments, p.quantiles));
             }

@@ -7,11 +7,17 @@
 //! * [`design`] — netlist + library + technology + generated parasitics;
 //! * [`wire_sim`] — per-trial wire evaluation (transient or two-pole) with
 //!   the driver's sampled current folded in;
-//! * [`trial`] — the golden per-trial walks over a whole circuit or one
-//!   path, built once per run on [`wire_sim::WirePlan`]'s flattened nets;
-//! * [`path_sim`] — critical-path and whole-circuit MC with shared global
+//! * [`trial`] — the golden per-trial walks over a whole circuit (the
+//!   yield engine's kernel) or one path, built once per run on
+//!   [`wire_sim::WirePlan`]'s flattened nets;
+//! * [`path_sim`] — critical-path search and path MC with shared global
 //!   corners, per-gate local mismatch and slew propagation;
 //! * [`result`] — sample container with moment/quantile summaries.
+//!
+//! Path and wire MC fill their trial arrays through
+//! [`nsigma_stats::par::fill`]: trial `t` draws from
+//! `SeedStream::tagged_seed(t)` alone, so a result depends on the trial
+//! index only, never on the thread count or the schedule.
 //!
 //! # Examples
 //!
@@ -42,7 +48,7 @@ pub mod trial;
 pub mod wire_sim;
 
 pub use design::Design;
-pub use path_sim::{find_critical_path, simulate_circuit_mc, simulate_path_mc, PathMcConfig};
+pub use path_sim::{find_critical_path, simulate_path_mc, PathMcConfig};
 pub use result::McResult;
 pub use trial::{CircuitPlan, TrialScratch};
 pub use wire_sim::{

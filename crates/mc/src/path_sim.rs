@@ -9,11 +9,12 @@
 
 use crate::design::Design;
 use crate::result::McResult;
-use crate::trial::{run_trials, CircuitPlan, PathPlan};
+use crate::trial::PathPlan;
 use nsigma_cells::timing::nominal_arc;
 use nsigma_interconnect::elmore::elmore_all;
-use nsigma_netlist::topo::{longest_path_by, NetlistCsr, Path};
+use nsigma_netlist::topo::{longest_path_by, Path};
 use nsigma_process::VariationModel;
+use nsigma_stats::par;
 use nsigma_stats::rng::SeedStream;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -105,59 +106,25 @@ pub fn simulate_path_mc(design: &Design, path: &Path, cfg: &PathMcConfig) -> McR
     let plan = PathPlan::new(design, path);
 
     let mut samples = vec![0.0; cfg.samples];
-    run_trials(
-        &mut samples,
-        1,
-        || plan.scratch(),
-        |trial, scratch, out| {
-            let mut rng = SmallRng::seed_from_u64(seeds.tagged_seed(trial as u64));
-            let global = variation.sample_global(&mut rng);
-            out[0] = plan.trial(&variation, cfg.input_slew, &global, &mut rng, scratch);
-        },
-    );
-    McResult::from_samples(samples, start.elapsed())
-}
-
-/// Full-circuit Monte Carlo: per trial, propagates sampled arrival times
-/// through the whole netlist and records the worst primary-output arrival.
-///
-/// This is the most faithful golden (the tail-critical path can differ from
-/// the nominal one) but costs `O(gates × samples)`. Each trial is one
-/// [`CircuitPlan::trial`] — the same walk the yield engine runs — under a
-/// tagged per-trial seed.
-///
-/// # Panics
-///
-/// Panics if the netlist has no gates or `cfg.samples == 0`.
-pub fn simulate_circuit_mc(design: &Design, cfg: &PathMcConfig) -> McResult {
-    assert!(cfg.samples > 0, "circuit MC needs samples");
-    assert!(design.netlist.num_gates() > 0, "circuit MC needs gates");
-    let seeds = SeedStream::new(cfg.seed);
-    let start = Instant::now();
-    let csr = NetlistCsr::build(&design.netlist);
-    let plan = CircuitPlan::new(design, &csr, cfg.input_slew);
-
-    let mut samples = vec![0.0; cfg.samples];
-    run_trials(
-        &mut samples,
-        1,
-        || plan.scratch(),
-        |trial, scratch, out| {
-            let mut rng = SmallRng::seed_from_u64(seeds.tagged_seed(trial as u64));
-            let global = plan.variation().sample_global(&mut rng);
-            out[0] = plan.trial(&global, scratch, &mut rng);
-        },
-    );
+    let mut scratches: Vec<_> = (0..par::host_threads()).map(|_| plan.scratch()).collect();
+    par::fill(&mut samples, 1, &mut scratches, |trial, scratch, out| {
+        let mut rng = SmallRng::seed_from_u64(seeds.tagged_seed(trial as u64));
+        let global = variation.sample_global(&mut rng);
+        out[0] = plan.trial(&variation, cfg.input_slew, &global, &mut rng, scratch);
+    })
+    .expect("path MC worker panicked");
     McResult::from_samples(samples, start.elapsed())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trial::CircuitPlan;
     use nsigma_cells::CellLibrary;
     use nsigma_netlist::generators::arith::ripple_adder;
     use nsigma_netlist::generators::random_dag::Iscas85;
     use nsigma_netlist::mapping::map_to_cells;
+    use nsigma_netlist::topo::NetlistCsr;
     use nsigma_process::Technology;
 
     fn adder_design() -> Design {
@@ -222,12 +189,25 @@ mod tests {
             input_slew: 10e-12,
         };
         let path = simulate_path_mc(&d, &p, &cfg);
-        let circuit = simulate_circuit_mc(&d, &cfg);
+        // Whole-circuit trials: the same CircuitPlan walk the yield engine
+        // runs, under the same tagged per-trial seeds as path MC.
+        let csr = NetlistCsr::build(&d.netlist);
+        let plan = CircuitPlan::new(&d, &csr, cfg.input_slew);
+        let seeds = SeedStream::new(cfg.seed);
+        let mut scratch = plan.scratch();
+        let circuit_mean = (0..cfg.samples)
+            .map(|t| {
+                let mut rng = SmallRng::seed_from_u64(seeds.tagged_seed(t as u64));
+                let global = plan.variation().sample_global(&mut rng);
+                plan.trial(&global, &mut scratch, &mut rng)
+            })
+            .sum::<f64>()
+            / cfg.samples as f64;
         // The circuit max-over-POs can only be at or above a single path.
         assert!(
-            circuit.moments.mean >= path.moments.mean * 0.95,
+            circuit_mean >= path.moments.mean * 0.95,
             "circuit {} vs path {}",
-            circuit.moments.mean,
+            circuit_mean,
             path.moments.mean
         );
     }

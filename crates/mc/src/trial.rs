@@ -305,32 +305,3 @@ impl<'a> PathPlan<'a> {
         total
     }
 }
-
-/// Fills `out`, `width` values per trial in trial order, on scoped workers:
-/// one contiguous run of trials per worker, each worker with its own
-/// `init()` state. `trial(t, state, row)` writes trial `t`'s row and must
-/// depend only on `t`, so the result is independent of the worker count.
-pub(crate) fn run_trials<S>(
-    out: &mut [f64],
-    width: usize,
-    init: impl Fn() -> S + Sync,
-    trial: impl Fn(usize, &mut S, &mut [f64]) + Sync,
-) {
-    let trials = out.len() / width;
-    let n_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(trials);
-    let per = trials.div_ceil(n_threads);
-    let (init, trial) = (&init, &trial);
-    std::thread::scope(|scope| {
-        for (w, chunk) in out.chunks_mut(per * width).enumerate() {
-            scope.spawn(move || {
-                let mut state = init();
-                for (i, row) in chunk.chunks_mut(width).enumerate() {
-                    trial(w * per + i, &mut state, row);
-                }
-            });
-        }
-    });
-}

@@ -25,12 +25,13 @@
 //! [`golden_scales`] and the wire model's `μ_w` mean are built on it.
 
 use crate::result::McResult;
-use crate::trial::run_trials;
 use nsigma_cells::Cell;
 use nsigma_interconnect::metrics::two_pole_delay;
 use nsigma_interconnect::rctree::RcTree;
 use nsigma_interconnect::transient::{simulate_ramp, TransientConfig};
 use nsigma_process::{GlobalSample, Technology, VariationModel};
+use nsigma_stats::par;
+use nsigma_stats::rng::SeedStream;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
@@ -698,7 +699,7 @@ pub fn simulate_wire_mc(
 ) -> Vec<McResult> {
     assert!(cfg.samples > 0, "wire MC needs samples");
     let variation = VariationModel::new(tech);
-    let seeds = nsigma_stats::rng::SeedStream::new(cfg.seed);
+    let seeds = SeedStream::new(cfg.seed);
     let start = Instant::now();
     let n_sinks = tree.sinks().len();
     let driver_sigma = driver.worst_stack().effective_local_sigma(tech);
@@ -708,29 +709,26 @@ pub fn simulate_wire_mc(
 
     // Per-trial tagged seeds keep the result independent of threading.
     let mut flat = vec![0.0f64; cfg.samples * n_sinks];
-    run_trials(
-        &mut flat,
-        n_sinks,
-        || plan.scratch(),
-        |trial, scratch, out| {
-            let mut rng = SmallRng::seed_from_u64(seeds.tagged_seed(trial as u64));
-            let global = variation.sample_global(&mut rng);
-            let dloc = variation.sample_local_vth(&mut rng, driver_sigma);
-            plan.evaluate(
-                0,
-                tech,
-                &variation,
-                driver,
-                &global,
-                dloc,
-                &mut rng,
-                scratch,
-                cfg.input_slew,
-                cfg.mode,
-            );
-            out.copy_from_slice(scratch.delays());
-        },
-    );
+    let mut scratches: Vec<_> = (0..par::host_threads()).map(|_| plan.scratch()).collect();
+    par::fill(&mut flat, n_sinks, &mut scratches, |trial, scratch, out| {
+        let mut rng = SmallRng::seed_from_u64(seeds.tagged_seed(trial as u64));
+        let global = variation.sample_global(&mut rng);
+        let dloc = variation.sample_local_vth(&mut rng, driver_sigma);
+        plan.evaluate(
+            0,
+            tech,
+            &variation,
+            driver,
+            &global,
+            dloc,
+            &mut rng,
+            scratch,
+            cfg.input_slew,
+            cfg.mode,
+        );
+        out.copy_from_slice(scratch.delays());
+    })
+    .expect("wire MC worker panicked");
 
     let elapsed = start.elapsed();
     (0..n_sinks)

@@ -75,4 +75,6 @@ pub mod store;
 pub use client::Client;
 pub use json::Value;
 pub use protocol::{parse_request, Generator, ProtoError, Request};
-pub use server::{Engine, Server, ServerConfig, ServerHandle, MAX_REQUEST_BYTES};
+pub use server::{
+    yield_report_fields, Engine, Server, ServerConfig, ServerHandle, MAX_REQUEST_BYTES,
+};

@@ -35,7 +35,7 @@ use nsigma_netlist::mapping::map_to_cells;
 use nsigma_netlist::Path;
 use nsigma_process::Technology;
 use nsigma_stats::quantile::{QuantileSet, SigmaLevel};
-use nsigma_yield::{CurvePoint, YieldAnalysis, YieldConfig, DEFAULT_IS_SHIFT};
+use nsigma_yield::{CurvePoint, YieldAnalysis, YieldConfig, YieldReport, DEFAULT_IS_SHIFT};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
@@ -396,27 +396,9 @@ impl Engine {
         let report = session.yield_analysis(&cfg).map_err(query_err)?;
         self.yield_samples
             .fetch_add(report.samples as u64, Ordering::Relaxed);
-        Ok(vec![
-            ("design", Value::Str(design.to_string())),
-            ("target_period", Value::Num(report.target_period)),
-            ("yield", Value::Num(report.estimate.value)),
-            ("ci_lo", Value::Num(report.estimate.ci_lo)),
-            ("ci_hi", Value::Num(report.estimate.ci_hi)),
-            ("ci_half_width", Value::Num(report.estimate.half_width())),
-            ("converged", Value::Bool(report.converged)),
-            ("samples", Value::Num(report.samples as f64)),
-            ("ess", Value::Num(report.ess)),
-            ("importance", Value::Bool(importance)),
-            ("importance_shift", Value::Num(report.importance_shift)),
-            ("analytic_yield", Value::Num(report.analytic_yield)),
-            (
-                "analytic_quantiles",
-                quantiles_json(&report.analytic_quantiles),
-            ),
-            ("mc_quantiles", quantiles_json(&report.mc_quantiles)),
-            ("curve", curve_json(&report.curve)),
-            ("threads", Value::Num(report.threads as f64)),
-        ])
+        let mut fields = vec![("design", Value::Str(design.to_string()))];
+        fields.extend(yield_report_fields(&report));
+        Ok(fields)
     }
 
     fn eco_resize(&self, design: &str, gate: &str, strength: u32) -> ExecResult {
@@ -540,6 +522,32 @@ fn diagnostics_json(report: &nsigma_lint::LintReport) -> Value {
 /// local timer.
 fn quantiles_json(q: &QuantileSet) -> Value {
     Value::Arr(q.as_array().iter().map(|&x| Value::Num(x)).collect())
+}
+
+/// A yield report as JSON object fields: the `yield_design` payload after
+/// its `design` field, and the CLI's `yield --json` object. `elapsed` is
+/// left out, so the fields are byte-stable for a fixed seed.
+pub fn yield_report_fields(report: &YieldReport) -> Vec<(&'static str, Value)> {
+    vec![
+        ("target_period", Value::Num(report.target_period)),
+        ("yield", Value::Num(report.estimate.value)),
+        ("ci_lo", Value::Num(report.estimate.ci_lo)),
+        ("ci_hi", Value::Num(report.estimate.ci_hi)),
+        ("ci_half_width", Value::Num(report.estimate.half_width())),
+        ("converged", Value::Bool(report.converged)),
+        ("samples", Value::Num(report.samples as f64)),
+        ("ess", Value::Num(report.ess)),
+        ("importance", Value::Bool(report.importance_shift > 0.0)),
+        ("importance_shift", Value::Num(report.importance_shift)),
+        ("analytic_yield", Value::Num(report.analytic_yield)),
+        (
+            "analytic_quantiles",
+            quantiles_json(&report.analytic_quantiles),
+        ),
+        ("mc_quantiles", quantiles_json(&report.mc_quantiles)),
+        ("curve", curve_json(&report.curve)),
+        ("threads", Value::Num(report.threads as f64)),
+    ]
 }
 
 /// The yield-vs-period curve as a JSON array of per-level objects.

@@ -17,7 +17,8 @@
 //!   Burr \[13\] baselines);
 //! * [`interp`] — Liberty-style 2-D table interpolation;
 //! * [`histogram`] — binning for the figure reproductions;
-//! * [`rng`] — seeded, reproducible sampling utilities.
+//! * [`rng`] — seeded, reproducible sampling utilities;
+//! * [`par`] — the one deterministic fan-out over indexed rows.
 //!
 //! # Examples
 //!
@@ -48,6 +49,7 @@ pub mod histogram;
 pub mod interp;
 pub mod linalg;
 pub mod moments;
+pub mod par;
 pub mod quantile;
 pub mod regression;
 pub mod rng;

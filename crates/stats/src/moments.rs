@@ -7,7 +7,7 @@
 /// The first four moments of a sample, in the paper's `[μ, σ, γ, κ]` order.
 ///
 /// Kurtosis is *full* kurtosis (Gaussian → 3), not excess.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Moments {
     /// Sample mean μ.
     pub mean: f64,

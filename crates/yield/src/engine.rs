@@ -1,19 +1,20 @@
 //! The sampling core: parallel, chunked, confidence-bounded graph-level
 //! Monte Carlo over a [`TimingSession`]'s compiled design.
 //!
-//! A run builds one [`CircuitPlan`] — the golden trial kernel of
-//! `nsigma_mc::trial`, the same one `simulate_circuit_mc` runs — over the
-//! compiled CSR adjacency: per-gate cells and mismatch sigmas, and every
-//! gate's output net flattened once into parent-index/R/C arrays. A trial
+//! A run builds one [`CircuitPlan`] — the golden whole-circuit trial
+//! kernel of `nsigma_mc::trial` — over the compiled CSR adjacency:
+//! per-gate cells and mismatch sigmas, and every gate's output net
+//! flattened once into parent-index/R/C arrays. A trial
 //! draws the (possibly mean-shifted) die corner, then one pull-down and
 //! one pull-up threshold deviate per gate, then walks the gates in
 //! topological order; each wired net is sampled by the in-place two-pole
-//! kernel with the driver's own threshold sample folded in. Each worker
-//! owns a [`TrialScratch`], so a trial makes no heap allocation.
+//! kernel with the driver's own threshold sample folded in.
 //!
-//! Trial `t` always draws from counter-based stream `t` ([`CounterRng`]),
-//! so the result vector is bit-identical at any thread count or chunk
-//! schedule.
+//! Each chunk is one [`nsigma_stats::par::fill`] over its trials, with the
+//! run's persistent [`TrialScratch`]es as the worker states, so a trial
+//! makes no heap allocation. Trial `t` always draws from counter-based
+//! stream `t` ([`CounterRng`]), so the result vector depends on the trial
+//! index only: bit-identical at any thread count or chunk schedule.
 
 use crate::config::YieldConfig;
 use crate::importance::{likelihood_ratio, WeightTally};
@@ -22,6 +23,7 @@ use crate::stopping::Z95;
 use nsigma_core::{NsigmaTimer, QueryError, TimingSession, YieldCurve};
 use nsigma_mc::{CircuitPlan, TrialScratch};
 use nsigma_stats::moments::Moments;
+use nsigma_stats::par;
 use nsigma_stats::quantile::{QuantileSet, SigmaLevel};
 use nsigma_stats::rng::CounterRng;
 use rand::Rng;
@@ -106,9 +108,7 @@ pub fn run_yield<B: Borrow<NsigmaTimer>>(
     }
 
     let threads = if cfg.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        par::host_threads()
     } else {
         cfg.threads
     };
@@ -131,37 +131,13 @@ pub fn run_yield<B: Borrow<NsigmaTimer>>(
         buf.clear();
         buf.resize(this_chunk, (0.0, 0.0));
 
-        let workers = threads.min(this_chunk);
-        let per = this_chunk.div_ceil(workers);
-        // Every handle is joined here, so a worker panic surfaces as a
-        // join error instead of re-panicking out of the scope.
-        let all_joined = std::thread::scope(|scope| {
-            let handles: Vec<_> = buf
-                .chunks_mut(per)
-                .zip(scratches.iter_mut())
-                .enumerate()
-                .map(|(wi, (chunk, scratch))| {
-                    let plan = &plan;
-                    scope.spawn(move || {
-                        for (i, out) in chunk.iter_mut().enumerate() {
-                            let trial = base + wi * per + i;
-                            let mut rng = CounterRng::new(cfg.seed, trial as u64);
-                            *out = sample_once(plan, shift, scratch, &mut rng);
-                        }
-                    })
-                })
-                .collect();
-            let mut ok = true;
-            for handle in handles {
-                ok &= handle.join().is_ok();
-            }
-            ok
-        });
-        if !all_joined {
-            return Err(QueryError::Internal {
-                reason: "a yield sampling worker panicked".into(),
-            });
-        }
+        par::fill(&mut buf, 1, &mut scratches, |i, scratch, out| {
+            let mut rng = CounterRng::new(cfg.seed, (base + i) as u64);
+            out[0] = sample_once(&plan, shift, scratch, &mut rng);
+        })
+        .map_err(|_| QueryError::Internal {
+            reason: "a yield sampling worker panicked".into(),
+        })?;
 
         for &(d, w) in &buf {
             delays.push(d);

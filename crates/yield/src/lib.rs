@@ -13,13 +13,14 @@
 //!
 //! Three mechanisms make that affordable:
 //!
-//! * **Parallel sampling over the compiled graph.** Each trial walks
-//!   [`nsigma_core::CompiledDesign`]'s CSR adjacency with a per-worker
-//!   [`nsigma_mc::TrialScratch`], reused across trials, so trials do not
-//!   allocate.
-//!   Trial `t` draws from counter-based stream `t` of
-//!   [`nsigma_stats::rng::CounterRng`], so results are bit-identical at
-//!   any thread count or chunk schedule.
+//! * **Parallel sampling over the compiled graph.** Each chunk of trials
+//!   is one [`nsigma_stats::par::fill`], the workspace's one fan-out. Each
+//!   trial walks [`nsigma_core::CompiledDesign`]'s CSR adjacency with a
+//!   per-worker [`nsigma_mc::TrialScratch`], reused across trials and
+//!   chunks, so trials do not allocate. Trial `t` draws from
+//!   counter-based stream `t` of [`nsigma_stats::rng::CounterRng`], so
+//!   results depend on the trial index only: bit-identical at any thread
+//!   count or chunk schedule.
 //! * **Mean-shifted importance sampling** (à la ISLE, Bayrakci et al.):
 //!   the die-wide threshold deviate is drawn from `N(shift, 1)` and each
 //!   trial is reweighted by the Gaussian likelihood ratio

@@ -49,10 +49,12 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 # them; see DESIGN.md §8–9), in the golden Monte-Carlo kernel that
 # yield_design runs (trial walk, wire kernel, path walk, two-pole crossing),
 # in the design's golden-scale recompute that eco_resize reaches, in the
-# nominal wire means compile reads, nor in the coefficients-file parser.
+# nominal wire means compile reads, in the coefficients-file parser, nor in
+# the one parallel fan-out and the characterization that runs on it.
 unwrap_hits=$(for f in crates/server/src/*.rs crates/cli/src/*.rs crates/yield/src/*.rs \
     crates/core/src/{session,compiled,sdf,wire_model,coeff_store}.rs \
-    crates/mc/src/{trial,wire_sim,path_sim,design}.rs crates/interconnect/src/metrics.rs; do
+    crates/mc/src/{trial,wire_sim,path_sim,design}.rs crates/interconnect/src/metrics.rs \
+    crates/stats/src/par.rs crates/cells/src/characterize.rs; do
   awk '/#\[cfg\(test\)\]/{exit} /\.unwrap\(/{print FILENAME ":" FNR ": " $0}' "$f"
 done)
 if [ -n "$unwrap_hits" ]; then
@@ -60,8 +62,6 @@ if [ -n "$unwrap_hits" ]; then
   echo "$unwrap_hits" >&2
   exit 1
 fi
-# Criterion benches must at least compile; running them is opt-in.
-cargo bench --offline --workspace --no-run
 
 # The static-analysis pass must stay clean on every generated benchmark
 # circuit (exit code is nonzero on any error-severity diagnostic).

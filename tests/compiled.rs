@@ -361,3 +361,23 @@ fn nominal_wire_outputs_are_pinned() {
     );
     assert_eq!(fnv1a(sdf.bytes()), PINNED_SDF, "SDF text");
 }
+
+/// Hash of the coefficients file of a small timer build (the suite's
+/// `timer_config`): the per-cell moment calibrations and the Table I fit
+/// read every characterized (cell, grid point), and the wire model reads
+/// the wire Monte-Carlo runs, so a fan-out that moved a point or a trial
+/// shows here. Recorded before the characterization and wire-MC fan-outs
+/// were folded into `nsigma_stats::par::fill`.
+const PINNED_COEFFICIENTS: u64 = 0x3e5c_d732_a5f7_854c;
+
+#[test]
+fn timer_build_coefficients_are_pinned() {
+    let tech = Technology::synthetic_28nm();
+    let lib = CellLibrary::standard();
+    let text = nsigma_core::write_coefficients(&build_timer(&tech, &lib));
+    assert_eq!(
+        fnv1a(text.bytes()),
+        PINNED_COEFFICIENTS,
+        "coefficients file"
+    );
+}
