@@ -5,10 +5,9 @@
 //! * `target/nsigma-coeff.txt` — the N-sigma coefficient file (Fig. 5's
 //!   LUT), reloadable with `nsigma_core::read_coefficients`.
 
-use nsigma_cells::characterize::{characterize_cell, CharacterizeConfig};
-use nsigma_cells::liberty::{write_liberty, LibertyCell};
+use nsigma_cells::liberty::write_liberty;
 use nsigma_cells::CellLibrary;
-use nsigma_core::sta::{NsigmaTimer, TimerConfig};
+use nsigma_core::sta::{characterize_library, NsigmaTimer, TimerConfig};
 use nsigma_core::write_coefficients;
 use nsigma_process::Technology;
 use std::time::Instant;
@@ -18,21 +17,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tech = Technology::synthetic_28nm();
     let lib = CellLibrary::standard();
     std::fs::create_dir_all("target")?;
+    let mut cfg = TimerConfig::standard(0x11B);
+    cfg.char_samples = SAMPLES;
+    cfg.wire.samples = 4000;
 
-    // Liberty export from a fresh characterization.
+    // One characterization feeds both files: the Liberty tables are the
+    // grids the coefficients are fitted on.
     println!(
         "characterizing {} cells x 36 grid points x {SAMPLES} samples...",
         lib.len()
     );
     let t0 = Instant::now();
-    let cfg = CharacterizeConfig::standard(SAMPLES, 0x11B);
-    let cells: Vec<LibertyCell> = lib
-        .iter()
-        .map(|(_, cell)| LibertyCell {
-            cell: cell.clone(),
-            grid: characterize_cell(&tech, cell, &cfg),
-        })
-        .collect();
+    let cells = characterize_library(&tech, &lib, &cfg);
     let lib_text = write_liberty("nsigma28", &tech, &cells);
     std::fs::write("target/nsigma28.lib", &lib_text)?;
     println!(
@@ -41,13 +37,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         t0.elapsed()
     );
 
-    // Full timer build → coefficient file.
-    println!("building the N-sigma timer (quantile model + wire calibration)...");
+    // Fit on the same grids → coefficient file.
+    println!("fitting the N-sigma timer (quantile model + wire calibration)...");
     let t1 = Instant::now();
-    let mut tcfg = TimerConfig::standard(0x11B);
-    tcfg.char_samples = SAMPLES;
-    tcfg.wire.samples = 4000;
-    let timer = NsigmaTimer::build(&tech, &lib, &tcfg)?;
+    let timer = NsigmaTimer::from_grids(&tech, &cells, &cfg)?;
     let coeff_text = write_coefficients(&timer);
     std::fs::write("target/nsigma-coeff.txt", &coeff_text)?;
     println!(

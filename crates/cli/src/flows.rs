@@ -2,11 +2,10 @@
 //! subprocess): characterize, analyze and golden-check.
 
 use crate::args::{Args, ArgsError};
-use nsigma_cells::characterize::{characterize_cells, CharacterizeConfig};
-use nsigma_cells::liberty::{write_liberty, LibertyCell};
+use nsigma_cells::liberty::write_liberty;
 use nsigma_cells::CellLibrary;
 use nsigma_core::report::{report_path, report_worst_paths};
-use nsigma_core::sta::{NsigmaTimer, TimerConfig};
+use nsigma_core::sta::{characterize_library, NsigmaTimer, TimerConfig};
 use nsigma_core::{read_coefficients, write_coefficients, MergeRule, QueryError, TimingSession};
 use nsigma_interconnect::spef;
 use nsigma_mc::design::Design;
@@ -68,7 +67,10 @@ pub fn run_characterize(args: &Args) -> Result<String, FlowError> {
     let lib = CellLibrary::standard();
     let mut cfg = TimerConfig::standard(seed);
     cfg.char_samples = samples;
-    let timer = NsigmaTimer::build(&tech, &lib, &cfg).map_err(err)?;
+    // One characterization: the Liberty tables are the grids the
+    // coefficients are fitted on.
+    let cells = characterize_library(&tech, &lib, &cfg);
+    let timer = NsigmaTimer::from_grids(&tech, &cells, &cfg).map_err(err)?;
     std::fs::write(coeff_path, write_coefficients(&timer))?;
 
     let mut summary = format!(
@@ -76,16 +78,6 @@ pub fn run_characterize(args: &Args) -> Result<String, FlowError> {
         lib.len()
     );
     if let Some(lib_path) = args.get("lib") {
-        let ccfg = CharacterizeConfig::standard(samples, seed);
-        let jobs: Vec<_> = lib.iter().map(|(_, cell)| (cell, ccfg.clone())).collect();
-        let cells: Vec<LibertyCell> = characterize_cells(&tech, &jobs)
-            .into_iter()
-            .zip(&jobs)
-            .map(|(grid, (cell, _))| LibertyCell {
-                cell: (*cell).clone(),
-                grid,
-            })
-            .collect();
         std::fs::write(lib_path, write_liberty("nsigma28", &tech, &cells))?;
         summary.push_str(&format!("; wrote {lib_path}"));
     }
@@ -488,8 +480,10 @@ pub fn run_lint(args: &Args) -> Result<String, FlowError> {
 /// `serve`: run the timing-query daemon until a client sends `shutdown`.
 ///
 /// Options: `--port <n>` (default 7227; 0 picks an ephemeral port),
-/// `--threads <n>` (default 4), `--queue <n>` (default 64),
-/// `--deadline-ms <n>` (default 5000), `--samples <n>` (default 3000),
+/// `--threads <n>` (requests executing at once, default 4), `--queue <n>`
+/// (requests waiting for a slot, default 64; `threads + queue` caps open
+/// connections), `--deadline-ms <n>` (longest wait for a slot, default
+/// 5000), `--samples <n>` (default 3000),
 /// `--seed <n>`, `--coeff <file>` (reload coefficients if the file
 /// exists, else build once and write them there), `--no-lint` (register
 /// designs without the lint gate).
@@ -566,7 +560,10 @@ standard library (INV/BUF/NAND2/NOR2/AOI2/OAI2/XOR2 at x1/x2/x4/x8).
 `lint` exits nonzero when any error-severity diagnostic is found; the
 code reference lives in the nsigma-lint crate docs and DESIGN.md.
 `serve` speaks newline-delimited JSON; see the nsigma-server crate docs
-for the request grammar."
+for the request grammar. Each connection runs its own requests: at most
+--threads execute at once and at most --queue wait for a slot; the next
+request, or a connection past --threads + --queue, answers `overloaded`,
+and a wait past --deadline-ms answers `deadline`."
 }
 
 #[cfg(test)]

@@ -20,6 +20,7 @@ use crate::calibration::{MomentCalibration, C_REF, S_REF};
 use crate::cell_model::CellQuantileModel;
 use crate::wire_model::{WireCalibConfig, WireVariabilityModel};
 use nsigma_cells::characterize::{characterize_cells, CharacterizeConfig};
+use nsigma_cells::liberty::LibertyCell;
 use nsigma_cells::{Cell, CellKind, CellLibrary};
 use nsigma_mc::design::Design;
 use nsigma_process::Technology;
@@ -121,8 +122,8 @@ pub struct NsigmaTimer {
 }
 
 impl NsigmaTimer {
-    /// Builds the timer: characterizes every library cell, fits the Table I
-    /// coefficients and calibrates the wire model.
+    /// Builds the timer: characterizes every library cell
+    /// ([`characterize_library`]) and fits the result ([`Self::from_grids`]).
     ///
     /// # Errors
     ///
@@ -132,28 +133,29 @@ impl NsigmaTimer {
         lib: &CellLibrary,
         cfg: &TimerConfig,
     ) -> Result<Self, BuildTimerError> {
-        if lib.is_empty() {
+        Self::from_grids(tech, &characterize_library(tech, lib, cfg), cfg)
+    }
+
+    /// Fits a timer on characterized cells: one moment calibration per
+    /// cell, the Table I coefficients across all of them, and the wire
+    /// model over the same cells.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildTimerError`] on an empty cell list or degenerate fits.
+    pub fn from_grids(
+        tech: &Technology,
+        cells: &[LibertyCell],
+        cfg: &TimerConfig,
+    ) -> Result<Self, BuildTimerError> {
+        if cells.is_empty() {
             return Err(BuildTimerError::EmptyLibrary);
         }
-        // Each cell's seed is tagged by its library index, so the grids are
-        // a function of (master seed, cell position) alone; all cells' grid
-        // points run as one fan-out.
-        let seeds = SeedStream::new(cfg.seed);
-        let jobs: Vec<(&Cell, CharacterizeConfig)> = lib
-            .iter()
-            .enumerate()
-            .map(|(idx, (_, cell))| {
-                let seed = seeds.tagged_seed(idx as u64);
-                (cell, CharacterizeConfig::standard(cfg.char_samples, seed))
-            })
-            .collect();
-        let grids = characterize_cells(tech, &jobs);
-
-        // Fit in library order: the training set (and thus the global
+        // Fit in the given order: the training set (and thus the global
         // Table I fit) is the grids' concatenation.
         let mut calibrations = HashMap::new();
         let mut training = Vec::new();
-        for ((cell, _), grid) in jobs.iter().zip(&grids) {
+        for LibertyCell { cell, grid } in cells {
             for p in grid.iter() {
                 training.push((p.moments, p.quantiles));
             }
@@ -163,7 +165,7 @@ impl NsigmaTimer {
             );
         }
         let quantile_model = CellQuantileModel::fit(&training)?;
-        let all_cells: Vec<Cell> = lib.iter().map(|(_, c)| c.clone()).collect();
+        let all_cells: Vec<Cell> = cells.iter().map(|c| c.cell.clone()).collect();
         let wire_model = WireVariabilityModel::calibrate_with_cells(tech, &cfg.wire, &all_cells)?;
         Ok(Self::from_parts(
             tech.clone(),
@@ -290,6 +292,35 @@ impl std::fmt::Debug for NsigmaTimer {
             .field("input_slew", &self.input_slew)
             .finish()
     }
+}
+
+/// Characterizes every library cell on the standard slew×load grid, in
+/// library order: the grids [`NsigmaTimer::from_grids`] fits, and the
+/// tables a Liberty export of the same build writes. Each cell's seed is
+/// tagged by its library index, so a grid is a function of (master seed,
+/// cell position) alone; all cells' grid points run as one fan-out.
+pub fn characterize_library(
+    tech: &Technology,
+    lib: &CellLibrary,
+    cfg: &TimerConfig,
+) -> Vec<LibertyCell> {
+    let seeds = SeedStream::new(cfg.seed);
+    let jobs: Vec<(&Cell, CharacterizeConfig)> = lib
+        .iter()
+        .enumerate()
+        .map(|(idx, (_, cell))| {
+            let seed = seeds.tagged_seed(idx as u64);
+            (cell, CharacterizeConfig::standard(cfg.char_samples, seed))
+        })
+        .collect();
+    characterize_cells(tech, &jobs)
+        .into_iter()
+        .zip(&jobs)
+        .map(|(grid, (cell, _))| LibertyCell {
+            cell: (*cell).clone(),
+            grid,
+        })
+        .collect()
 }
 
 /// Builds a library containing only the cell kinds/strengths a netlist

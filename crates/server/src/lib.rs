@@ -7,12 +7,13 @@
 //! The expensive artifact of the method — the calibrated timer, built by
 //! Monte-Carlo characterization of the cell library plus the wire
 //! variability fit — is constructed **once** at startup (or reloaded from
-//! the Fig. 5 coefficients file) and then shared immutably across a worker
-//! pool. Each registered design becomes a [`nsigma_core::TimingSession`]
+//! the Fig. 5 coefficients file) and then shared immutably by the
+//! connection threads, each of which runs the requests it reads. Each
+//! registered design becomes a [`nsigma_core::TimingSession`]
 //! in the design store, so every endpoint runs the same compiled query
 //! engine as the library and CLI, and query failures arrive as typed
 //! [`nsigma_core::QueryError`]s mapped onto the protocol's error codes
-//! (including `unknown_cell`) rather than worker panics. Clients register
+//! (including `unknown_cell`) rather than panics. Clients register
 //! designs and issue timing queries over a newline-delimited JSON protocol
 //! on TCP:
 //!
@@ -35,15 +36,18 @@
 //!   round-trip formatting, and the stage model is a pure function of
 //!   `(cell, slew, load)` — so a remote answer equals an in-process
 //!   [`nsigma_core::NsigmaTimer`] answer under `==`.
-//! * **Backpressure, not buffering.** Jobs flow through a bounded queue
-//!   (`std` `Mutex` + `Condvar`); a full queue answers `overloaded`
-//!   immediately, and jobs that outlive their queue deadline answer
-//!   `deadline` instead of consuming a worker. A request line longer than
-//!   [`MAX_REQUEST_BYTES`] answers `bad_request` and closes its
-//!   connection.
-//! * **Graceful shutdown.** The listener stops accepting, connections
-//!   finish their in-flight request, and the worker pool drains everything
-//!   already queued before the process exits.
+//! * **Backpressure, not buffering.** A request runs on its connection's
+//!   thread once it holds a slot of one admission gate (`std` `Mutex` +
+//!   `Condvar`): at most [`ServerConfig::threads`] run at once and at most
+//!   [`ServerConfig::queue_capacity`] wait. The next one answers
+//!   `overloaded` at once, and a wait longer than the deadline answers
+//!   `deadline` instead of running. A connection beyond `threads +
+//!   queue_capacity` gets one `overloaded` line and is closed. A request
+//!   line longer than [`MAX_REQUEST_BYTES`] answers `bad_request` and
+//!   closes its connection.
+//! * **Graceful shutdown.** The listener stops accepting, and every
+//!   connection answers the request it is running or waiting for before
+//!   it closes and the process exits.
 //! * **Monte-Carlo yield on demand.** `yield_design` runs the
 //!   `nsigma-yield` engine — parallel graph-level sampling, optional
 //!   mean-shifted importance sampling, confidence-bounded stopping —
@@ -57,17 +61,15 @@
 //!   out, and the `lint_design` endpoint re-runs the pass on demand.
 //!
 //! Module map: [`json`] (hand-rolled parser/writer), [`protocol`]
-//! (request/response schema), [`pool`] (bounded queue + workers),
-//! [`store`] (design registry), [`metrics`] (counters +
-//! latency histograms), [`server`] (engine and lifecycle), [`client`]
-//! (blocking test/CLI client).
+//! (request/response schema), [`store`] (design registry), [`metrics`]
+//! (counters + latency histograms), [`server`] (engine, admission gate and
+//! lifecycle), [`client`] (blocking test/CLI client).
 
 #![warn(missing_docs)]
 
 pub mod client;
 pub mod json;
 pub mod metrics;
-pub mod pool;
 pub mod protocol;
 pub mod server;
 pub mod store;

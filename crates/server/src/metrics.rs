@@ -64,9 +64,10 @@ impl EndpointMetrics {
 /// All server counters.
 pub struct Metrics {
     endpoints: Vec<EndpointMetrics>,
-    /// Requests rejected because the queue was full.
+    /// Requests refused because the wait queue was full, and connections
+    /// refused past the connection cap.
     pub rejected_overload: AtomicU64,
-    /// Requests dropped because their deadline passed while queued.
+    /// Requests refused because no slot freed within their deadline.
     pub rejected_deadline: AtomicU64,
     /// Lines that failed to parse as a request.
     pub bad_requests: AtomicU64,

@@ -1,25 +1,34 @@
-//! The daemon: engine, accept loop, and lifecycle handle.
+//! The daemon: engine, admission gate, accept loop, and lifecycle handle.
 //!
 //! [`Server::start`] builds (or reloads, via the coefficients store) the
 //! N-sigma timer once, binds a TCP listener, and serves the
 //! newline-delimited JSON protocol of [`crate::protocol`]. Each connection
-//! gets a reader thread; parsed requests flow through the bounded
-//! [`WorkerPool`] into the shared [`Engine`], which owns the timer behind
-//! an `Arc` and one [`TimingSession`] per registered design, each behind
-//! its own `RwLock` in the design store. Sessions carry their own scratch
-//! pools, so concurrent readers of one design never contend on
+//! gets one thread, and that thread runs every request it reads: it takes
+//! a slot from the engine's admission gate, executes the request against
+//! the shared [`Engine`] and writes the answer. The engine owns the timer
+//! behind an `Arc` and one [`TimingSession`] per registered design, each
+//! behind its own `RwLock` in the design store. Sessions carry their own
+//! scratch pools, so concurrent readers of one design never contend on
 //! thread-local state, and every query failure surfaces as a typed
 //! [`QueryError`] mapped onto the protocol's error codes instead of a
 //! panic.
 //!
+//! The gate is a `Mutex` over two counters (running, waiting) and one
+//! `Condvar`. At most [`ServerConfig::threads`] requests run at once and
+//! at most [`ServerConfig::queue_capacity`] wait for a slot; the next one
+//! answers `overloaded` at once, and a wait longer than
+//! [`ServerConfig::deadline`] answers `deadline`. Waiters are admitted in
+//! no particular order. A connection holds at most one request, so the
+//! accept loop refuses a connection beyond `threads + queue_capacity` with
+//! one `overloaded` line.
+//!
 //! Shutdown — from the `shutdown` endpoint or [`ServerHandle::shutdown`] —
-//! raises a flag, wakes the blocking accept with a self-connection, joins
-//! the connection threads (each finishes its in-flight request), then
-//! drains the worker queue.
+//! raises a flag, wakes the blocking accept with a self-connection and
+//! joins the connection threads. Each one first answers the request it is
+//! running or waiting for; that is the drain.
 
 use crate::json::Value;
 use crate::metrics::Metrics;
-use crate::pool::{Job, SubmitError, WorkerPool};
 use crate::protocol::{error_response, ok_response, parse_request, Generator, Request};
 use crate::store::DesignStore;
 use nsigma_cells::CellLibrary;
@@ -41,7 +50,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, PoisonError, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Everything [`Server::start`] needs.
@@ -49,11 +58,13 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads executing timing queries.
+    /// Requests executing at once, each on the thread of the connection
+    /// that sent it; a request beyond that waits for a slot.
     pub threads: usize,
-    /// Bounded job-queue capacity; a full queue answers `overloaded`.
+    /// Requests that may wait for a slot; the next one answers
+    /// `overloaded`. `threads + queue_capacity` also caps open connections.
     pub queue_capacity: usize,
-    /// Maximum time a request may wait in the queue before it is answered
+    /// Maximum time a request may wait for a slot before it is answered
     /// with a `deadline` error instead of being executed.
     pub deadline: Duration,
     /// Timer build configuration (characterization samples, seed, …).
@@ -85,6 +96,85 @@ impl Default for ServerConfig {
 /// plus message.
 type ExecResult = Result<Vec<(&'static str, Value)>, (&'static str, String)>;
 
+/// The admission gate in front of request execution: at most `slots`
+/// requests run at once and at most `capacity` wait for a slot. The lock
+/// is held only to update the two counters, never while a request runs.
+struct Gate {
+    state: Mutex<GateState>,
+    /// Signalled once per freed slot.
+    freed: Condvar,
+    slots: usize,
+    capacity: usize,
+}
+
+#[derive(Default)]
+struct GateState {
+    running: usize,
+    waiting: usize,
+}
+
+/// Why the gate refused a request.
+#[derive(Debug, PartialEq, Eq)]
+enum Refused {
+    /// `capacity` requests already wait for a slot.
+    Overloaded,
+    /// No slot freed within the deadline.
+    Deadline,
+}
+
+/// A held execution slot. Dropping it frees the slot, also while a
+/// panicking request unwinds.
+struct Slot<'a>(&'a Gate);
+
+impl Gate {
+    fn new(slots: usize, capacity: usize) -> Self {
+        Self {
+            state: Mutex::new(GateState::default()),
+            freed: Condvar::new(),
+            slots: slots.max(1),
+            capacity: capacity.max(1),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Takes a slot, waiting up to `deadline` for one when all are taken.
+    fn admit(&self, deadline: Duration) -> Result<Slot<'_>, Refused> {
+        let mut state = self.lock();
+        if state.running >= self.slots {
+            if state.waiting >= self.capacity {
+                return Err(Refused::Overloaded);
+            }
+            state.waiting += 1;
+            state = self
+                .freed
+                .wait_timeout_while(state, deadline, |s| s.running >= self.slots)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            state.waiting -= 1;
+            if state.running >= self.slots {
+                return Err(Refused::Deadline);
+            }
+        }
+        state.running += 1;
+        Ok(Slot(self))
+    }
+
+    /// Requests waiting for a slot.
+    fn waiting(&self) -> usize {
+        self.lock().waiting
+    }
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.lock().running -= 1;
+        self.0.freed.notify_one();
+    }
+}
+
 /// The shared request executor: one timer, many designs, all counters.
 pub struct Engine {
     tech: Technology,
@@ -100,9 +190,8 @@ pub struct Engine {
     yield_samples: AtomicU64,
     shutdown: AtomicBool,
     started: Instant,
-    threads: usize,
+    gate: Gate,
     addr: OnceLock<SocketAddr>,
-    pool: OnceLock<Weak<WorkerPool>>,
 }
 
 impl Engine {
@@ -123,20 +212,14 @@ impl Engine {
             yield_samples: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
-            threads: cfg.threads,
+            gate: Gate::new(cfg.threads, cfg.queue_capacity),
             addr: OnceLock::new(),
-            pool: OnceLock::new(),
         }
     }
 
     /// The timer every query runs against.
     pub fn timer(&self) -> &Arc<NsigmaTimer> {
         &self.timer
-    }
-
-    /// How long a request may wait in the queue.
-    pub fn deadline(&self) -> Duration {
-        self.deadline
     }
 
     /// True once shutdown has been requested.
@@ -153,26 +236,33 @@ impl Engine {
         }
     }
 
-    /// Worker entry point: deadline check, execute, record, reply.
-    pub fn process(&self, job: Job) {
-        let waited = job.enqueued.elapsed();
-        if waited > self.deadline {
-            self.metrics
-                .rejected_deadline
-                .fetch_add(1, Ordering::Relaxed);
-            let _ = job.reply.send(error_response(
-                "deadline",
-                &format!(
-                    "request spent {} ms queued, over the {} ms deadline",
-                    waited.as_millis(),
-                    self.deadline.as_millis()
-                ),
-            ));
-            return;
-        }
-        let endpoint = job.request.endpoint();
+    /// Runs one request on the calling thread once the admission gate
+    /// gives it a slot, records it, and returns the response line.
+    pub fn process(&self, request: Request) -> String {
+        let _slot = match self.gate.admit(self.deadline) {
+            Ok(slot) => slot,
+            Err(Refused::Overloaded) => {
+                self.metrics
+                    .rejected_overload
+                    .fetch_add(1, Ordering::Relaxed);
+                return error_response("overloaded", "request queue is full, retry later");
+            }
+            Err(Refused::Deadline) => {
+                self.metrics
+                    .rejected_deadline
+                    .fetch_add(1, Ordering::Relaxed);
+                return error_response(
+                    "deadline",
+                    &format!(
+                        "no request slot freed within the {} ms deadline",
+                        self.deadline.as_millis()
+                    ),
+                );
+            }
+        };
+        let endpoint = request.endpoint();
         let t0 = Instant::now();
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| self.execute(job.request)));
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| self.execute(request)));
         let micros = t0.elapsed().as_micros() as u64;
         let (ok, line) = match outcome {
             Ok(Ok(payload)) => (true, ok_response(payload)),
@@ -183,7 +273,7 @@ impl Engine {
             ),
         };
         self.metrics.record(endpoint, ok, micros);
-        let _ = job.reply.send(line);
+        line
     }
 
     /// Executes one request against the timer and store.
@@ -424,22 +514,16 @@ impl Engine {
     }
 
     fn stats(&self) -> Vec<(&'static str, Value)> {
-        let (depth, capacity) = self
-            .pool
-            .get()
-            .and_then(Weak::upgrade)
-            .map(|p| (p.queued(), p.capacity()))
-            .unwrap_or((0, 0));
         vec![
             ("uptime_s", Value::Num(self.started.elapsed().as_secs_f64())),
-            ("threads", Value::Num(self.threads as f64)),
+            ("threads", Value::Num(self.gate.slots as f64)),
             ("designs", Value::Num(self.store.len() as f64)),
             (
                 "yield_samples_drawn",
                 Value::Num(self.yield_samples.load(Ordering::Relaxed) as f64),
             ),
-            ("queue_depth", Value::Num(depth as f64)),
-            ("queue_capacity", Value::Num(capacity as f64)),
+            ("queue_depth", Value::Num(self.gate.waiting() as f64)),
+            ("queue_capacity", Value::Num(self.gate.capacity as f64)),
             ("metrics", self.metrics.snapshot()),
         ]
     }
@@ -600,18 +684,11 @@ impl Server {
         // out. Ignoring the result keeps the startup path panic-free.
         let _ = engine.addr.set(addr);
 
-        let handler = {
-            let engine = Arc::clone(&engine);
-            Arc::new(move |job: Job| engine.process(job))
-        };
-        let pool = Arc::new(WorkerPool::new(cfg.threads, cfg.queue_capacity, handler));
-        let _ = engine.pool.set(Arc::downgrade(&pool));
-
         let accept = {
             let engine = Arc::clone(&engine);
             std::thread::Builder::new()
                 .name("nsigma-accept".to_string())
-                .spawn(move || accept_loop(listener, engine, pool))?
+                .spawn(move || accept_loop(listener, engine))?
         };
         Ok(ServerHandle {
             addr,
@@ -645,7 +722,10 @@ fn load_or_build_timer(
     Ok(timer)
 }
 
-fn accept_loop(listener: TcpListener, engine: Arc<Engine>, pool: Arc<WorkerPool>) {
+fn accept_loop(listener: TcpListener, engine: Arc<Engine>) {
+    // A connection holds at most one request, so no more requests than
+    // this can ever be running or waiting; a connection past it is refused.
+    let max_conns = engine.gate.slots + engine.gate.capacity;
     let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
     loop {
         if engine.is_shutdown() {
@@ -656,14 +736,17 @@ fn accept_loop(listener: TcpListener, engine: Arc<Engine>, pool: Arc<WorkerPool>
                 if engine.is_shutdown() {
                     break; // the wake-up self-connection
                 }
-                let engine = Arc::clone(&engine);
-                let pool = Arc::clone(&pool);
                 conns.retain(|h| !h.is_finished());
+                if conns.len() >= max_conns {
+                    refuse_connection(stream, &engine, max_conns);
+                    continue;
+                }
+                let engine = Arc::clone(&engine);
                 // A failed spawn (thread exhaustion) drops the stream,
                 // closing the connection; the server itself stays up.
                 if let Ok(handle) = std::thread::Builder::new()
                     .name("nsigma-conn".to_string())
-                    .spawn(move || serve_connection(stream, engine, pool))
+                    .spawn(move || serve_connection(stream, engine))
                 {
                     conns.push(handle);
                 }
@@ -675,12 +758,26 @@ fn accept_loop(listener: TcpListener, engine: Arc<Engine>, pool: Arc<WorkerPool>
             }
         }
     }
-    // Graceful drain: connections finish their in-flight request, then the
-    // pool works off everything already queued.
+    // Graceful drain: each connection answers the request it is running
+    // or waiting for, then sees the shutdown flag and closes.
     for h in conns {
         let _ = h.join();
     }
-    pool.shutdown();
+}
+
+/// Answers a connection past the cap with one `overloaded` line, counted
+/// in `rejected_overload`, and closes it.
+fn refuse_connection(mut stream: TcpStream, engine: &Engine, max_conns: usize) {
+    engine
+        .metrics
+        .rejected_overload
+        .fetch_add(1, Ordering::Relaxed);
+    let mut line = error_response(
+        "overloaded",
+        &format!("{max_conns} connections are open, retry later"),
+    );
+    line.push('\n');
+    let _ = stream.write_all(line.as_bytes());
 }
 
 /// The longest request line a connection may send, newline included:
@@ -691,7 +788,7 @@ fn accept_loop(listener: TcpListener, engine: Arc<Engine>, pool: Arc<WorkerPool>
 /// buffer without limit.
 pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
-fn serve_connection(stream: TcpStream, engine: Arc<Engine>, pool: Arc<WorkerPool>) {
+fn serve_connection(stream: TcpStream, engine: Arc<Engine>) {
     // Short read timeouts let the reader poll the shutdown flag without a
     // dedicated wake-up channel per connection.
     if stream
@@ -731,7 +828,10 @@ fn serve_connection(stream: TcpStream, engine: Arc<Engine>, pool: Arc<WorkerPool
                         line.clear();
                         continue;
                     }
-                    Ok(text) => handle_line(text.trim(), &engine, &pool),
+                    Ok(text) => match parse_request(text.trim()) {
+                        Ok(request) => engine.process(request),
+                        Err(e) => bad_request(&engine, &e.to_string()),
+                    },
                 };
                 line.clear();
                 // One write per response: a separate newline write would
@@ -757,35 +857,11 @@ fn serve_connection(stream: TcpStream, engine: Arc<Engine>, pool: Arc<WorkerPool
     }
 }
 
-/// A `bad_request` reply for a line that never reached the worker pool,
-/// counted in `bad_requests`.
+/// A `bad_request` reply for a line that never reached the engine, counted
+/// in `bad_requests`.
 fn bad_request(engine: &Engine, message: &str) -> String {
     engine.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
     error_response("bad_request", message)
-}
-
-fn handle_line(line: &str, engine: &Engine, pool: &WorkerPool) -> String {
-    let request = match parse_request(line) {
-        Ok(r) => r,
-        Err(e) => return bad_request(engine, &e.to_string()),
-    };
-    let (job, reply) = Job::new(request);
-    match pool.submit(job) {
-        Err(SubmitError::Overloaded) => {
-            engine
-                .metrics
-                .rejected_overload
-                .fetch_add(1, Ordering::Relaxed);
-            error_response("overloaded", "job queue is full, retry later")
-        }
-        Err(SubmitError::ShuttingDown) => error_response("internal", "server is shutting down"),
-        // The queue deadline is enforced by the worker; this wait only
-        // bounds a wedged worker, so it is deliberately generous.
-        Ok(()) => match reply.recv_timeout(engine.deadline() + Duration::from_secs(60)) {
-            Ok(response) => response,
-            Err(_) => error_response("deadline", "timed out waiting for a worker"),
-        },
-    }
 }
 
 /// Handle to a running server; dropping it shuts the server down.
@@ -835,5 +911,105 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.shutdown_and_join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    const LONG: Duration = Duration::from_secs(10);
+
+    /// Polls `cond` every millisecond for up to ten seconds.
+    fn eventually(cond: impl Fn() -> bool) -> bool {
+        let until = Instant::now() + LONG;
+        while !cond() {
+            if Instant::now() > until {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
+    #[test]
+    fn gate_round_trips_a_slot() {
+        let gate = Gate::new(1, 1);
+        let slot = gate.admit(Duration::ZERO).expect("a free slot");
+        assert_eq!(gate.lock().running, 1);
+        drop(slot);
+        assert_eq!(gate.lock().running, 0);
+        assert!(
+            gate.admit(Duration::ZERO).is_ok(),
+            "the freed slot is reusable"
+        );
+    }
+
+    #[test]
+    fn gate_runs_slots_concurrently() {
+        // Each holder waits for the other to be admitted: both see two
+        // holders only if two slots are held at once. Holding a slot must
+        // not hold the gate's lock, or the second admit would block.
+        let gate = Gate::new(2, 4);
+        let admitted = AtomicUsize::new(0);
+        let together = std::thread::scope(|scope| {
+            let holders: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let _slot = gate.admit(LONG).expect("a slot");
+                        admitted.fetch_add(1, Ordering::SeqCst);
+                        eventually(|| admitted.load(Ordering::SeqCst) == 2)
+                    })
+                })
+                .collect();
+            holders.into_iter().all(|h| h.join().unwrap_or(false))
+        });
+        assert!(together, "two slots must be held at once");
+        assert_eq!(gate.lock().running, 0);
+    }
+
+    #[test]
+    fn gate_refuses_past_capacity() {
+        // One slot, one waiter: the slot is held, the second request waits,
+        // the third is refused at once, and the waiter runs once the slot
+        // is freed.
+        let gate = Gate::new(1, 1);
+        let held = gate.admit(Duration::ZERO).expect("a free slot");
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| gate.admit(LONG).map(|_| ()));
+            assert!(eventually(|| gate.waiting() == 1), "the waiter waits");
+            let t0 = Instant::now();
+            assert_eq!(gate.admit(LONG).err(), Some(Refused::Overloaded));
+            assert!(t0.elapsed() < LONG, "refusal must not wait");
+            drop(held);
+            assert_eq!(waiter.join().ok(), Some(Ok(())), "the waiter is admitted");
+        });
+        assert_eq!(gate.waiting(), 0);
+    }
+
+    #[test]
+    fn gate_refuses_at_the_deadline() {
+        let gate = Gate::new(1, 4);
+        let _held = gate.admit(Duration::ZERO).expect("a free slot");
+        let deadline = Duration::from_millis(50);
+        let t0 = Instant::now();
+        assert_eq!(gate.admit(deadline).err(), Some(Refused::Deadline));
+        assert!(t0.elapsed() >= deadline, "the request waited its deadline");
+        assert_eq!(gate.waiting(), 0, "a refused waiter leaves the queue");
+    }
+
+    #[test]
+    fn panicking_holder_frees_its_slot() {
+        let gate = Gate::new(1, 1);
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let _slot = gate.admit(Duration::ZERO).expect("a free slot");
+            panic!("request handler failed");
+        }));
+        assert!(outcome.is_err());
+        assert!(
+            gate.admit(Duration::ZERO).is_ok(),
+            "the slot is freed while unwinding"
+        );
     }
 }

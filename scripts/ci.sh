@@ -118,6 +118,20 @@ case "$daemon_line" in
     ;;
 esac
 
+# Yield-daemon smoke: perfbench's daemon_yield workload runs back-to-back
+# yield_design requests on one connection's thread next to the query mix
+# on the others, for 1 s; a yield answer with the wrong trial count, an
+# error reply or a failed parity check shows up as a failed operation.
+yield_daemon_line=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload daemon_yield --seconds 1 --trace 0 | tail -n 1)
+case "$yield_daemon_line" in
+  *'"failed": 0,'*) ;;
+  *)
+    echo "ci: perfbench daemon_yield reported failed checks: $yield_daemon_line" >&2
+    exit 1
+    ;;
+esac
+
 # Cold-path smoke: perfbench's analyze_eco workload reloads the timer from
 # text, then compiles, analyzes, ranks paths and resizes gates on c432,
 # c1908 and c6288. Every stage there is evaluated from scratch, and its

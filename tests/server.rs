@@ -11,10 +11,13 @@ use nsigma_netlist::generators::random_dag::Iscas85;
 use nsigma_netlist::mapping::map_to_cells;
 use nsigma_netlist::{k_longest_paths_by, Path};
 use nsigma_process::Technology;
-use nsigma_server::{Client, Server, ServerConfig, Value, MAX_REQUEST_BYTES};
+use nsigma_server::{
+    Client, Request, Server, ServerConfig, ServerHandle, Value, MAX_REQUEST_BYTES,
+};
 use nsigma_stats::quantile::{QuantileSet, SigmaLevel};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 const SEED: u64 = 11;
 const PARASITIC_SEED: u64 = 7;
@@ -391,4 +394,181 @@ fn over_long_request_line_is_rejected_and_the_server_keeps_answering() {
     let metrics = stats.get("metrics").unwrap();
     assert_eq!(metrics.get("bad_requests").unwrap().as_u64(), Some(2));
     handle.shutdown();
+}
+
+/// A server with one execution slot and one waiting place, so it admits
+/// at most two connections.
+fn one_slot_server(deadline: Duration) -> ServerHandle {
+    Server::start(ServerConfig {
+        threads: 1,
+        queue_capacity: 1,
+        deadline,
+        timer: timer_config(),
+        ..ServerConfig::default()
+    })
+    .expect("server start")
+}
+
+/// A `yield_design` on c432 that runs all its trials: the half-width is
+/// out of reach, so it holds its slot for the whole fixed-count run.
+fn long_yield(seed: u64) -> String {
+    format!(
+        r#"{{"cmd":"yield_design","design":"c432","samples":{},"ci":1e-9,"seed":{seed}}}"#,
+        long_yield_samples()
+    )
+}
+
+/// Trials of [`long_yield`]: 512 per yield worker thread, so the run takes
+/// about as long on any host (over half a second on an optimized build),
+/// well past a 200 ms deadline.
+fn long_yield_samples() -> u64 {
+    512 * nsigma_stats::par::host_threads() as u64
+}
+
+fn register_c432(client: &mut Client) {
+    client
+        .request_ok(&format!(
+            r#"{{"cmd":"register_design","name":"c432","iscas":"c432","seed":{PARASITIC_SEED}}}"#
+        ))
+        .expect("register c432");
+}
+
+fn code(v: &Value) -> Option<&str> {
+    v.get("code").and_then(Value::as_str)
+}
+
+fn counter(stats: &Value, name: &str) -> Option<u64> {
+    stats.get("metrics")?.get(name)?.as_u64()
+}
+
+#[test]
+fn backpressure_answers_deadline_and_overloaded_over_the_wire() {
+    let handle = one_slot_server(Duration::from_millis(200));
+    let port = handle.port();
+    let mut holder = Client::connect(("127.0.0.1", port)).expect("connect");
+    register_c432(&mut holder);
+
+    std::thread::scope(|scope| {
+        let long = scope.spawn(move || holder.request_ok(&long_yield(1)));
+        // Until the yield holds the slot a `stats` runs at once; once it
+        // does, `stats` waits out the deadline.
+        let mut waiter = Client::connect(("127.0.0.1", port)).expect("connect");
+        let refused = (0..500).find_map(|_| {
+            let reply = waiter.request(r#"{"cmd":"stats"}"#).expect("reply");
+            if code(&reply) == Some("deadline") {
+                return Some(reply);
+            }
+            std::thread::sleep(Duration::from_millis(10));
+            None
+        });
+        assert!(
+            refused.is_some(),
+            "a request behind the yield must time out"
+        );
+
+        // A third connection while the other two are open is past the cap
+        // of threads + queue_capacity: one `overloaded` line, then EOF.
+        let mut third = Client::connect(("127.0.0.1", port)).expect("connect");
+        let reply = third.request(r#"{"cmd":"stats"}"#).expect("reply");
+        assert_eq!(code(&reply), Some("overloaded"), "{reply:?}");
+        assert!(
+            third.request(r#"{"cmd":"stats"}"#).is_err(),
+            "the refused connection is closed"
+        );
+
+        let y = long
+            .join()
+            .expect("client thread")
+            .expect("the yield answers");
+        assert_eq!(
+            y.get("samples").and_then(Value::as_u64),
+            Some(long_yield_samples())
+        );
+        let stats = waiter.request_ok(r#"{"cmd":"stats"}"#).expect("stats");
+        assert_eq!(counter(&stats, "rejected_deadline"), Some(1));
+        assert_eq!(counter(&stats, "rejected_overload"), Some(1));
+        assert_eq!(stats.get("queue_capacity").and_then(Value::as_u64), Some(1));
+        assert_eq!(stats.get("queue_depth").and_then(Value::as_u64), Some(0));
+    });
+    handle.shutdown();
+}
+
+#[test]
+fn connection_past_the_cap_is_refused_until_one_closes() {
+    let handle = one_slot_server(Duration::from_secs(5));
+    let port = handle.port();
+    let mut open: Vec<Client> = (0..2)
+        .map(|_| {
+            let mut c = Client::connect(("127.0.0.1", port)).expect("connect");
+            c.request_ok(r#"{"cmd":"stats"}"#).expect("served");
+            c
+        })
+        .collect();
+    let mut third = Client::connect(("127.0.0.1", port)).expect("connect");
+    let reply = third.request(r#"{"cmd":"stats"}"#).expect("reply");
+    assert_eq!(code(&reply), Some("overloaded"), "{reply:?}");
+
+    // Once a connection closes, its thread ends and a new one is served.
+    open.pop();
+    let until = Instant::now() + Duration::from_secs(10);
+    let served = loop {
+        let mut next = Client::connect(("127.0.0.1", port)).expect("connect");
+        let reply = next.request(r#"{"cmd":"stats"}"#).expect("reply");
+        if code(&reply) != Some("overloaded") || Instant::now() > until {
+            break reply;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!(
+        served.get("ok").and_then(Value::as_bool),
+        Some(true),
+        "{served:?}"
+    );
+    assert!(counter(&served, "rejected_overload") >= Some(1));
+    handle.shutdown();
+}
+
+#[test]
+fn shutdown_answers_requests_in_flight_and_waiting() {
+    let handle = one_slot_server(Duration::from_secs(120));
+    let port = handle.port();
+    let mut first = Client::connect(("127.0.0.1", port)).expect("connect");
+    register_c432(&mut first);
+    let second = Client::connect(("127.0.0.1", port)).expect("connect");
+
+    std::thread::scope(|scope| {
+        let answers: Vec<_> = [(first, 1), (second, 2)]
+            .into_iter()
+            .map(|(mut client, seed)| scope.spawn(move || client.request(&long_yield(seed))))
+            .collect();
+        // One yield runs and the other waits for its slot.
+        let waiting = || {
+            handle
+                .engine()
+                .execute(Request::Stats)
+                .ok()
+                .and_then(|fields| {
+                    fields
+                        .into_iter()
+                        .find(|(k, _)| *k == "queue_depth")
+                        .and_then(|(_, v)| v.as_u64())
+                })
+                == Some(1)
+        };
+        let until = Instant::now() + Duration::from_secs(60);
+        while !waiting() {
+            assert!(Instant::now() < until, "the second yield never waited");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        handle.engine().trigger_shutdown();
+        for answer in answers {
+            let reply = answer.join().expect("client thread").expect("an answer");
+            assert_eq!(
+                reply.get("ok").and_then(Value::as_bool),
+                Some(true),
+                "{reply:?}"
+            );
+        }
+    });
+    handle.wait();
 }
