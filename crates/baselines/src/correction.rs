@@ -63,30 +63,6 @@ impl CorrectionTimer {
         }
     }
 
-    /// The variant whose variability is read off a PrimeTime-style corner
-    /// report instead of SPICE ("with the help of the PrimeTime report") —
-    /// it inherits part of the corner flow's stacked-3σ pessimism, which in
-    /// this near-threshold substrate is substantial (the exponential V_th
-    /// sensitivity makes stacked corners very pessimistic).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the reference design has no path.
-    pub fn calibrate_with_pt_report(reference: &Design, mc_samples: usize, seed: u64) -> Self {
-        let base = Self::calibrate(reference, mc_samples, seed);
-        let path = nsigma_mc::path_sim::find_critical_path(reference)
-            .expect("reference design must have a critical path");
-        let pt = CornerSta {
-            ocv_derate: 1.0,
-            ..CornerSta::signoff()
-        }
-        .analyze_path(reference, &path);
-        Self {
-            cv_factor: (pt.late - pt.nominal) / (3.0 * pt.nominal),
-            ..base
-        }
-    }
-
     /// Calibrates on the *simple calibration circuit* of Sharma et al. \[8\]:
     /// an inverter chain. This is the method's intended workflow — and its
     /// weakness: factors from a homogeneous chain (single cell kind, no
@@ -117,15 +93,6 @@ impl CorrectionTimer {
         netlist.mark_output(cur);
         let design = Design::with_generated_parasitics(tech.clone(), lib.clone(), netlist, seed);
         Self::calibrate(&design, mc_samples, seed ^ 0xC1)
-    }
-
-    /// Builds a timer from explicit factors (for tests).
-    pub fn from_factors(mean_factor: f64, cv_factor: f64) -> Self {
-        Self {
-            mean_factor,
-            cv_factor,
-            input_slew: 10e-12,
-        }
     }
 
     /// The fitted factors `(mean, cv)`.
@@ -211,7 +178,6 @@ mod tests {
         let tech = Technology::synthetic_28nm();
         let target = design_of(&ripple_subtractor(8), 2);
         let timer = CorrectionTimer::calibrate_on_inverter_chain(&tech, &lib(), 24, 1500, 7);
-        let _ = design_of(&ripple_adder(6), 1);
 
         let path = find_critical_path(&target).unwrap();
         let q = timer.analyze_path(&target, &path);
@@ -235,23 +201,12 @@ mod tests {
         let (mf, cv) = timer.factors();
         assert!(mf > 0.5 && mf < 2.0);
         assert!(cv > 0.0 && cv < 0.5);
-
-        // The PT-report-sourced variant inherits corner pessimism.
-        let tech = Technology::synthetic_28nm();
-        let pt_timer =
-            CorrectionTimer::calibrate_with_pt_report(&design_of(&ripple_adder(6), 1), 800, 7);
-        let q_pt = pt_timer.analyze_path(&target, &path);
-        assert!(
-            q_pt[SigmaLevel::PlusThree] > q[SigmaLevel::PlusThree],
-            "PT-sourced variability is more pessimistic"
-        );
-        let _ = tech;
     }
 
     #[test]
     fn quantiles_are_symmetric_by_construction() {
-        let timer = CorrectionTimer::from_factors(1.0, 0.1);
         let d = design_of(&ripple_adder(4), 3);
+        let timer = CorrectionTimer::calibrate(&d, 400, 3);
         let path = find_critical_path(&d).unwrap();
         let q = timer.analyze_path(&d, &path);
         let up = q[SigmaLevel::PlusThree] - q[SigmaLevel::Zero];

@@ -127,7 +127,7 @@ impl MlTimer {
     }
 
     /// Predicts a wire's (mean, σ) delay in seconds.
-    pub fn predict_wire(
+    fn predict_wire(
         &self,
         tech: &Technology,
         tree: &RcTree,

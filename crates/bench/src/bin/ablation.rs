@@ -2,8 +2,7 @@
 //!
 //! 1. Table I cross terms: full model vs Gaussian μ+nσ (no γ/κ terms);
 //! 2. eq. (3) cubic vs eq. (2)-style bilinear calibration of γ/κ;
-//! 3. wire variability: driver+load coefficients (eq. 7) vs constant X_w
-//!    vs Elmore-only.
+//! 3. wire variability: driver+load coefficients (eq. 7) vs Elmore-only.
 
 use nsigma_bench::Table;
 use nsigma_cells::cell::{Cell, CellKind};

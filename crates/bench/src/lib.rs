@@ -71,7 +71,7 @@ pub fn iscas_suite() -> Vec<Benchmark> {
 
 /// The PULPino functional-unit substitutes (see DESIGN.md: clean datapaths
 /// standing in for the DC-synthesized units).
-pub fn pulpino_suite() -> Vec<Benchmark> {
+fn pulpino_suite() -> Vec<Benchmark> {
     vec![
         build_design("ADD", &ripple_adder(64), 0xADD),
         build_design("SUB", &ripple_subtractor(64), 0x5B),

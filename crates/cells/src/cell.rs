@@ -73,7 +73,7 @@ impl CellKind {
     /// Series-stack depths of the (pull-down, pull-up) networks. A NAND
     /// stacks its NMOS (falling arc), a NOR its PMOS (rising arc); the
     /// complex gates stack both.
-    pub fn arc_depths(self) -> (u32, u32) {
+    fn arc_depths(self) -> (u32, u32) {
         match self {
             CellKind::Inv | CellKind::Buf => (1, 1),
             CellKind::Nand2 => (2, 1),
@@ -92,7 +92,7 @@ impl CellKind {
 
     /// Multiplier on the output-node parasitic relative to an inverter of
     /// the same strength (wider cells hang more junctions on the output).
-    pub fn parasitic_factor(self) -> f64 {
+    fn parasitic_factor(self) -> f64 {
         match self {
             CellKind::Inv | CellKind::Buf => 1.0,
             CellKind::Nand2 | CellKind::Nor2 => 1.4,
@@ -103,7 +103,7 @@ impl CellKind {
 
     /// Multiplier on per-pin input capacitance relative to an inverter of
     /// the same strength.
-    pub fn input_cap_factor(self) -> f64 {
+    fn input_cap_factor(self) -> f64 {
         match self {
             CellKind::Inv | CellKind::Buf => 1.0,
             CellKind::Nand2 | CellKind::Nor2 => 1.1,

@@ -6,12 +6,11 @@
 //! moment grids in that shape: nominal `cell_rise`/`cell_fall` tables as the
 //! mean delay, `ocv_sigma` tables as the standard deviation, plus the
 //! higher-moment tables (`ocv_skewness`, `ocv_kurtosis`) the N-sigma model
-//! consumes. A matching reader round-trips the subset.
+//! consumes. The tests read the subset back to check the round trip.
 
 use crate::cell::Cell;
 use crate::characterize::{GridPoint, MomentGrid};
 use nsigma_process::Technology;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// One cell's characterized data ready for Liberty export.
@@ -150,150 +149,139 @@ fn write_table(
     out.push_str("          ;\n        }\n");
 }
 
-/// Error parsing the Liberty subset.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ParseLibertyError {
-    /// Missing `library (` header.
-    MissingHeader,
-    /// A table had inconsistent dimensions; carries the cell name.
-    BadTable(String),
-}
-
-impl std::fmt::Display for ParseLibertyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ParseLibertyError::MissingHeader => write!(f, "missing library header"),
-            ParseLibertyError::BadTable(cell) => write!(f, "inconsistent table in cell {cell}"),
-        }
-    }
-}
-
-impl std::error::Error for ParseLibertyError {}
-
-/// A parsed Liberty table set for one cell: the four moment surfaces.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LibertyTables {
-    /// Input-slew axis (s).
-    pub slews: Vec<f64>,
-    /// Load axis (F).
-    pub loads: Vec<f64>,
-    /// Mean delay (s), row-major slews × loads.
-    pub mean: Vec<f64>,
-    /// Sigma (s).
-    pub sigma: Vec<f64>,
-    /// Skewness (unitless).
-    pub skewness: Vec<f64>,
-    /// Kurtosis (unitless).
-    pub kurtosis: Vec<f64>,
-    /// Mean output transition (s).
-    pub transition: Vec<f64>,
-}
-
-/// One parsed lookup table: the two axis vectors plus the values.
-type TableAxes = (Vec<f64>, Vec<f64>, Vec<f64>);
-
-/// Parses the subset this module writes: returns the moment tables per cell.
-///
-/// # Errors
-///
-/// Returns [`ParseLibertyError`] on missing header or inconsistent tables.
-pub fn parse_liberty(text: &str) -> Result<HashMap<String, LibertyTables>, ParseLibertyError> {
-    if !text.contains("library (") {
-        return Err(ParseLibertyError::MissingHeader);
-    }
-    let mut cells = HashMap::new();
-    let mut current: Option<String> = None;
-    let mut tables: HashMap<String, TableAxes> = HashMap::new();
-    let mut pending: Option<(String, TableAxes)> = None;
-
-    for line in text.lines() {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix("cell (") {
-            if let Some(name) = current.take() {
-                finish_cell(&mut cells, &name, &tables)?;
-                tables.clear();
-            }
-            current = rest.split(')').next().map(|s| s.trim().to_string());
-        } else if let Some(rest) = line.strip_prefix("index_1 (\"") {
-            if let Some(p) = pending.as_mut() {
-                p.1 .0 = parse_list(rest);
-            }
-        } else if let Some(rest) = line.strip_prefix("index_2 (\"") {
-            if let Some(p) = pending.as_mut() {
-                p.1 .1 = parse_list(rest);
-            }
-        } else if line.starts_with('"') {
-            if let Some(p) = pending.as_mut() {
-                p.1 .2.extend(parse_list(line.trim_start_matches('"')));
-            }
-        } else if line.ends_with("(delay_template) {") {
-            let tag = line.split_whitespace().next().unwrap_or("").to_string();
-            pending = Some((tag, (Vec::new(), Vec::new(), Vec::new())));
-        } else if line == "}" {
-            if let Some((tag, axes)) = pending.take() {
-                tables.insert(tag, axes);
-            }
-        }
-    }
-    if let Some(name) = current.take() {
-        finish_cell(&mut cells, &name, &tables)?;
-    }
-    Ok(cells)
-}
-
-fn parse_list(s: &str) -> Vec<f64> {
-    s.trim_end_matches(['\\', ' ', ';', ')', '"', ','])
-        .trim_end_matches("\");")
-        .split(',')
-        .filter_map(|t| t.trim().trim_matches('"').parse::<f64>().ok())
-        .collect()
-}
-
-fn finish_cell(
-    cells: &mut HashMap<String, LibertyTables>,
-    name: &str,
-    tables: &HashMap<String, TableAxes>,
-) -> Result<(), ParseLibertyError> {
-    let get = |tag: &str| {
-        tables
-            .get(tag)
-            .cloned()
-            .ok_or_else(|| ParseLibertyError::BadTable(name.to_string()))
-    };
-    let (i1, i2, mean) = get("cell_rise")?;
-    let (_, _, sigma) = get("ocv_sigma_cell_rise")?;
-    let (_, _, skewness) = get("ocv_skewness_cell_rise")?;
-    let (_, _, kurtosis) = get("ocv_kurtosis_cell_rise")?;
-    let (_, _, transition) = get("rise_transition")?;
-    let n = i1.len() * i2.len();
-    if mean.len() != n
-        || sigma.len() != n
-        || skewness.len() != n
-        || kurtosis.len() != n
-        || transition.len() != n
-    {
-        return Err(ParseLibertyError::BadTable(name.to_string()));
-    }
-    cells.insert(
-        name.to_string(),
-        LibertyTables {
-            slews: i1.iter().map(|x| x * 1e-9).collect(),
-            loads: i2.iter().map(|x| x * 1e-12).collect(),
-            mean: mean.iter().map(|x| x * 1e-9).collect(),
-            sigma: sigma.iter().map(|x| x * 1e-9).collect(),
-            skewness,
-            kurtosis,
-            transition: transition.iter().map(|x| x * 1e-9).collect(),
-        },
-    );
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cell::CellKind;
     use crate::characterize::{characterize_cell, CharacterizeConfig};
+    use std::collections::HashMap;
+
+    // The reader of the subset `write_liberty` emits: the round-trip oracle.
+
+    /// Error parsing the Liberty subset.
+    #[derive(Debug, Clone, PartialEq)]
+    enum ParseLibertyError {
+        /// Missing `library (` header.
+        MissingHeader,
+        /// A table had inconsistent dimensions; carries the cell name.
+        BadTable(String),
+    }
+
+    /// A parsed Liberty table set for one cell: the four moment surfaces and
+    /// the output transition.
+    #[derive(Debug, Clone, PartialEq)]
+    struct LibertyTables {
+        /// Input-slew axis (s).
+        slews: Vec<f64>,
+        /// Load axis (F).
+        loads: Vec<f64>,
+        /// Mean delay (s), row-major slews × loads.
+        mean: Vec<f64>,
+        /// Sigma (s).
+        sigma: Vec<f64>,
+        /// Skewness (unitless).
+        skewness: Vec<f64>,
+        /// Kurtosis (unitless).
+        kurtosis: Vec<f64>,
+        /// Mean output transition (s).
+        transition: Vec<f64>,
+    }
+
+    /// One parsed lookup table: the two axis vectors plus the values.
+    type TableAxes = (Vec<f64>, Vec<f64>, Vec<f64>);
+
+    /// Parses the subset this module writes: returns the moment tables per cell.
+    fn parse_liberty(text: &str) -> Result<HashMap<String, LibertyTables>, ParseLibertyError> {
+        if !text.contains("library (") {
+            return Err(ParseLibertyError::MissingHeader);
+        }
+        let mut cells = HashMap::new();
+        let mut current: Option<String> = None;
+        let mut tables: HashMap<String, TableAxes> = HashMap::new();
+        let mut pending: Option<(String, TableAxes)> = None;
+
+        for line in text.lines() {
+            let line = line.trim();
+            if let Some(rest) = line.strip_prefix("cell (") {
+                if let Some(name) = current.take() {
+                    finish_cell(&mut cells, &name, &tables)?;
+                    tables.clear();
+                }
+                current = rest.split(')').next().map(|s| s.trim().to_string());
+            } else if let Some(rest) = line.strip_prefix("index_1 (\"") {
+                if let Some(p) = pending.as_mut() {
+                    p.1 .0 = parse_list(rest);
+                }
+            } else if let Some(rest) = line.strip_prefix("index_2 (\"") {
+                if let Some(p) = pending.as_mut() {
+                    p.1 .1 = parse_list(rest);
+                }
+            } else if line.starts_with('"') {
+                if let Some(p) = pending.as_mut() {
+                    p.1 .2.extend(parse_list(line.trim_start_matches('"')));
+                }
+            } else if line.ends_with("(delay_template) {") {
+                let tag = line.split_whitespace().next().unwrap_or("").to_string();
+                pending = Some((tag, (Vec::new(), Vec::new(), Vec::new())));
+            } else if line == "}" {
+                if let Some((tag, axes)) = pending.take() {
+                    tables.insert(tag, axes);
+                }
+            }
+        }
+        if let Some(name) = current.take() {
+            finish_cell(&mut cells, &name, &tables)?;
+        }
+        Ok(cells)
+    }
+
+    fn parse_list(s: &str) -> Vec<f64> {
+        s.trim_end_matches(['\\', ' ', ';', ')', '"', ','])
+            .trim_end_matches("\");")
+            .split(',')
+            .filter_map(|t| t.trim().trim_matches('"').parse::<f64>().ok())
+            .collect()
+    }
+
+    fn finish_cell(
+        cells: &mut HashMap<String, LibertyTables>,
+        name: &str,
+        tables: &HashMap<String, TableAxes>,
+    ) -> Result<(), ParseLibertyError> {
+        let get = |tag: &str| {
+            tables
+                .get(tag)
+                .cloned()
+                .ok_or_else(|| ParseLibertyError::BadTable(name.to_string()))
+        };
+        let (i1, i2, mean) = get("cell_rise")?;
+        let (_, _, sigma) = get("ocv_sigma_cell_rise")?;
+        let (_, _, skewness) = get("ocv_skewness_cell_rise")?;
+        let (_, _, kurtosis) = get("ocv_kurtosis_cell_rise")?;
+        let (_, _, transition) = get("rise_transition")?;
+        let n = i1.len() * i2.len();
+        if mean.len() != n
+            || sigma.len() != n
+            || skewness.len() != n
+            || kurtosis.len() != n
+            || transition.len() != n
+        {
+            return Err(ParseLibertyError::BadTable(name.to_string()));
+        }
+        cells.insert(
+            name.to_string(),
+            LibertyTables {
+                slews: i1.iter().map(|x| x * 1e-9).collect(),
+                loads: i2.iter().map(|x| x * 1e-12).collect(),
+                mean: mean.iter().map(|x| x * 1e-9).collect(),
+                sigma: sigma.iter().map(|x| x * 1e-9).collect(),
+                skewness,
+                kurtosis,
+                transition: transition.iter().map(|x| x * 1e-9).collect(),
+            },
+        );
+        Ok(())
+    }
 
     fn sample() -> (Technology, Vec<LibertyCell>) {
         let tech = Technology::synthetic_28nm();
@@ -355,7 +343,10 @@ mod tests {
                     inv.mean[k],
                     p.moments.mean
                 );
+                assert!((inv.sigma[k] - p.moments.std).abs() < 2e-15);
                 assert!((inv.skewness[k] - p.moments.skewness).abs() < 1e-5);
+                assert!((inv.kurtosis[k] - p.moments.kurtosis).abs() < 1e-5);
+                assert!((inv.transition[k] - p.mean_output_slew).abs() < 2e-15);
             }
         }
     }

@@ -171,12 +171,6 @@ impl CellQuantileModel {
     }
 }
 
-/// Relative error (%) of a predicted quantile against a golden quantile —
-/// the error measure of Table II.
-pub fn quantile_error_pct(predicted: f64, golden: f64) -> f64 {
-    ((predicted - golden) / golden * 100.0).abs()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,14 +199,16 @@ mod tests {
         let model = CellQuantileModel::fit(&training).unwrap();
         let gaussian = CellQuantileModel::gaussian();
 
+        // Relative error (%) against the golden quantile, as in Table II.
+        let error_pct = |predicted: f64, golden: f64| ((predicted - golden) / golden * 100.0).abs();
         let mut err_model = 0.0;
         let mut err_gauss = 0.0;
         for (m, q) in &test {
             let pm = model.predict(m);
             let pg = gaussian.predict(m);
             for lvl in [SigmaLevel::MinusThree, SigmaLevel::PlusThree] {
-                err_model += quantile_error_pct(pm[lvl], q[lvl]);
-                err_gauss += quantile_error_pct(pg[lvl], q[lvl]);
+                err_model += error_pct(pm[lvl], q[lvl]);
+                err_gauss += error_pct(pg[lvl], q[lvl]);
             }
         }
         assert!(

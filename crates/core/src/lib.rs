@@ -35,8 +35,8 @@
 //!   per-gate block-based propagation kernel every analysis runs (see
 //!   DESIGN.md, "Performance architecture");
 //! * [`report`] — sign-off-style text timing reports (k-worst paths);
-//! * [`coeff_store`] — the Fig. 5 coefficients file (text LUT), so analysis
-//!   can skip recharacterization.
+//! * [`write_coefficients`] / [`read_coefficients`] — the Fig. 5
+//!   coefficients file (text LUT), so analysis can skip recharacterization.
 //!
 //! # Examples
 //!
@@ -73,7 +73,7 @@
 
 pub mod calibration;
 pub mod cell_model;
-pub mod coeff_store;
+mod coeff_store;
 pub mod compiled;
 pub mod extended;
 pub mod reference;
@@ -86,7 +86,7 @@ pub mod wire_model;
 
 pub use calibration::{MomentCalibration, C_REF, S_REF};
 pub use cell_model::CellQuantileModel;
-pub use coeff_store::{read_coefficients, write_coefficients};
+pub use coeff_store::{read_coefficients, write_coefficients, ParseCoeffError};
 pub use compiled::CompiledDesign;
 pub use extended::{cornish_fisher_quantile, extended_quantiles, YieldCurve};
 pub use session::{QueryError, TimingSession};

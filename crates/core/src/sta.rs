@@ -22,7 +22,6 @@ use crate::wire_model::{WireCalibConfig, WireVariabilityModel};
 use nsigma_cells::characterize::{characterize_cells, CharacterizeConfig};
 use nsigma_cells::liberty::LibertyCell;
 use nsigma_cells::{Cell, CellKind, CellLibrary};
-use nsigma_mc::design::Design;
 use nsigma_process::Technology;
 use nsigma_stats::quantile::QuantileSet;
 use nsigma_stats::regression::FitError;
@@ -323,23 +322,6 @@ pub fn characterize_library(
         .collect()
 }
 
-/// Builds a library containing only the cell kinds/strengths a netlist
-/// actually uses — trimming characterization time for small experiments.
-pub fn used_cells(design: &Design) -> Vec<Cell> {
-    let mut names: Vec<&str> = design
-        .netlist
-        .gates()
-        .iter()
-        .map(|g| design.lib.cell(g.cell).name())
-        .collect();
-    names.sort_unstable();
-    names.dedup();
-    names
-        .into_iter()
-        .filter_map(|n| design.lib.find(n).map(|id| design.lib.cell(id).clone()))
-        .collect()
-}
-
 /// Convenience: an INVx4 (FO4) cell, the wire-model baseline.
 pub fn fo4_cell() -> Cell {
     Cell::new(CellKind::Inv, 4)
@@ -348,12 +330,9 @@ pub fn fo4_cell() -> Cell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nsigma_netlist::generators::arith::ripple_adder;
-    use nsigma_netlist::mapping::map_to_cells;
     use nsigma_stats::moments::Moments;
 
-    /// A small library restricted to what the test designs use keeps the
-    /// build under a second.
+    /// A small library keeps the build under a second.
     fn small_lib() -> CellLibrary {
         let mut lib = CellLibrary::new();
         for kind in [
@@ -369,12 +348,6 @@ mod tests {
         lib
     }
 
-    fn adder_design(lib: &CellLibrary) -> Design {
-        let tech = Technology::synthetic_28nm();
-        let nl = map_to_cells(&ripple_adder(6), lib).unwrap();
-        Design::with_generated_parasitics(tech, lib.clone(), nl, 21)
-    }
-
     fn quick_timer(lib: &CellLibrary) -> NsigmaTimer {
         let tech = Technology::synthetic_28nm();
         let mut cfg = TimerConfig::standard(77);
@@ -382,15 +355,6 @@ mod tests {
         cfg.wire.nets = 2;
         cfg.wire.samples = 800;
         NsigmaTimer::build(&tech, lib, &cfg).unwrap()
-    }
-
-    #[test]
-    fn used_cells_trims_library() {
-        let lib = small_lib();
-        let design = adder_design(&lib);
-        let used = used_cells(&design);
-        assert!(!used.is_empty());
-        assert!(used.len() <= lib.len());
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub fn cell_coefficient(cell: &Cell) -> f64 {
 
 /// Measures a cell's delay variability σ/μ by Monte Carlo at the FO4
 /// condition (10 ps slew, load = 4 × its own input capacitance).
-pub fn measure_cell_variability(tech: &Technology, cell: &Cell, samples: usize, seed: u64) -> f64 {
+fn measure_cell_variability(tech: &Technology, cell: &Cell, samples: usize, seed: u64) -> f64 {
     let variation = VariationModel::new(tech);
     let mut rng = SmallRng::seed_from_u64(seed);
     let load = 4.0 * cell.input_cap(tech);
@@ -341,12 +341,12 @@ impl WireVariabilityModel {
 
     /// Lower-tail variability `(μ − q₋₃σ)/(3μ)` — the asymmetric extension
     /// of eq. (7) (see DESIGN.md).
-    pub fn predict_xw_minus(&self, driver: &Cell, load: &Cell) -> f64 {
+    fn predict_xw_minus(&self, driver: &Cell, load: &Cell) -> f64 {
         self.eval_xw(&self.xw_minus_coeffs, driver, load)
     }
 
     /// Upper-tail variability `(q₊₃σ − μ)/(3μ)`.
-    pub fn predict_xw_plus(&self, driver: &Cell, load: &Cell) -> f64 {
+    fn predict_xw_plus(&self, driver: &Cell, load: &Cell) -> f64 {
         self.eval_xw(&self.xw_plus_coeffs, driver, load)
     }
 
@@ -379,18 +379,6 @@ impl WireVariabilityModel {
             let x = if n < 0.0 { xm } else { xp };
             (1.0 + n * x) * mu
         })
-    }
-
-    /// The paper's literal symmetric eq. (9) — the ablation variant.
-    pub fn wire_quantiles_symmetric(
-        &self,
-        base_mean: f64,
-        driver: &Cell,
-        load: &Cell,
-    ) -> QuantileSet {
-        let mu = self.predict_mean(base_mean, driver, load);
-        let xw = self.predict_xw(driver, load);
-        QuantileSet::from_fn(|lvl| (1.0 + lvl.n() as f64 * xw) * mu)
     }
 
     /// Full net-level prediction: computes the nominal two-moment mean for
@@ -604,10 +592,6 @@ mod tests {
         assert!(q.is_monotone());
         // Right-skewed wires: the upper tail is wider.
         assert!(xp >= xm, "xp {xp} vs xm {xm}");
-        // The symmetric (paper-literal) variant stays available for ablation.
-        let qs = model.wire_quantiles_symmetric(5e-12, &d, &l);
-        let xw = model.predict_xw(&d, &l);
-        assert!((qs[SigmaLevel::PlusThree] - (1.0 + 3.0 * xw) * mu).abs() < 1e-20);
     }
 
     #[test]

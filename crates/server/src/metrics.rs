@@ -119,7 +119,7 @@ impl Metrics {
     }
 
     /// Total requests routed to endpoints (ok + error).
-    pub fn total_requests(&self) -> u64 {
+    fn total_requests(&self) -> u64 {
         self.endpoints
             .iter()
             .map(|m| m.ok.load(Ordering::Relaxed) + m.errors.load(Ordering::Relaxed))
@@ -181,7 +181,7 @@ impl Metrics {
 /// The `p`-quantile (µs) of a [`latency_histogram`], approximated at
 /// bin-center resolution. Underflow (0 µs) counts as 0, overflow as the
 /// range maximum of 1 000 s.
-pub fn histogram_percentile(h: &Histogram, p: f64) -> f64 {
+fn histogram_percentile(h: &Histogram, p: f64) -> f64 {
     let total = h.count();
     if total == 0 {
         return 0.0;

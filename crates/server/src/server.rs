@@ -223,7 +223,7 @@ impl Engine {
     }
 
     /// True once shutdown has been requested.
-    pub fn is_shutdown(&self) -> bool {
+    fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
 
@@ -238,26 +238,34 @@ impl Engine {
 
     /// Runs one request on the calling thread once the admission gate
     /// gives it a slot, records it, and returns the response line.
+    ///
+    /// `stats` and `shutdown` skip the gate: they only read counters or set
+    /// a flag, so a saturated server still reports why it is saturated and
+    /// can still be told to stop.
     pub fn process(&self, request: Request) -> String {
-        let _slot = match self.gate.admit(self.deadline) {
-            Ok(slot) => slot,
-            Err(Refused::Overloaded) => {
-                self.metrics
-                    .rejected_overload
-                    .fetch_add(1, Ordering::Relaxed);
-                return error_response("overloaded", "request queue is full, retry later");
-            }
-            Err(Refused::Deadline) => {
-                self.metrics
-                    .rejected_deadline
-                    .fetch_add(1, Ordering::Relaxed);
-                return error_response(
-                    "deadline",
-                    &format!(
-                        "no request slot freed within the {} ms deadline",
-                        self.deadline.as_millis()
-                    ),
-                );
+        let _slot = if matches!(request, Request::Stats | Request::Shutdown) {
+            None
+        } else {
+            match self.gate.admit(self.deadline) {
+                Ok(slot) => Some(slot),
+                Err(Refused::Overloaded) => {
+                    self.metrics
+                        .rejected_overload
+                        .fetch_add(1, Ordering::Relaxed);
+                    return error_response("overloaded", "request queue is full, retry later");
+                }
+                Err(Refused::Deadline) => {
+                    self.metrics
+                        .rejected_deadline
+                        .fetch_add(1, Ordering::Relaxed);
+                    return error_response(
+                        "deadline",
+                        &format!(
+                            "no request slot freed within the {} ms deadline",
+                            self.deadline.as_millis()
+                        ),
+                    );
+                }
             }
         };
         let endpoint = request.endpoint();

@@ -40,43 +40,14 @@ impl std::error::Error for FitDistError {}
 /// margin; samples beyond this are clamped.
 const SN_MAX_SKEW: f64 = 0.99;
 
-/// Fits a [`SkewNormal`] by method of moments.
+/// Constructs a skew-normal by method of moments from target
+/// mean/std/skewness.
 ///
-/// Given sample mean `m`, standard deviation `s` and skewness `g`:
-/// solve `g` for δ, then `ω² = s²/(1 − 2δ²/π)` and
-/// `ξ = m − ωδ√(2/π)`. Skewness outside the attainable range (≈0.995) is
-/// clamped to the boundary, matching the standard practice in LSN delay
-/// modeling.
-///
-/// # Errors
-///
-/// Returns [`FitDistError::SampleTooSmall`] for fewer than 8 samples.
-///
-/// # Examples
-///
-/// ```
-/// use nsigma_stats::distributions::{Distribution, SkewNormal};
-/// use nsigma_stats::fit::fit_skew_normal;
-/// use rand::SeedableRng;
-///
-/// let d = SkewNormal::new(1.0, 0.5, 3.0);
-/// let mut rng = rand::rngs::SmallRng::seed_from_u64(9);
-/// let xs: Vec<f64> = (0..20_000).map(|_| d.sample(&mut rng)).collect();
-/// let fitted = fit_skew_normal(&xs)?;
-/// assert!((fitted.mean() - d.mean()).abs() < 0.02);
-/// # Ok::<(), nsigma_stats::fit::FitDistError>(())
-/// ```
-pub fn fit_skew_normal(samples: &[f64]) -> Result<SkewNormal, FitDistError> {
-    if samples.len() < 8 {
-        return Err(FitDistError::SampleTooSmall(samples.len()));
-    }
-    let m = Moments::from_samples(samples);
-    Ok(skew_normal_from_moments(m.mean, m.std, m.skewness))
-}
-
-/// Constructs a skew-normal from target mean/std/skewness (clamping skewness
-/// into the attainable range).
-pub fn skew_normal_from_moments(mean: f64, std: f64, skewness: f64) -> SkewNormal {
+/// Given mean `m`, standard deviation `s` and skewness `g`: solve `g` for δ,
+/// then `ω² = s²/(1 − 2δ²/π)` and `ξ = m − ωδ√(2/π)`. Skewness outside the
+/// attainable range (≈0.995) is clamped to the boundary, matching the
+/// standard practice in LSN delay modeling.
+fn skew_normal_from_moments(mean: f64, std: f64, skewness: f64) -> SkewNormal {
     let g = skewness.clamp(-SN_MAX_SKEW, SN_MAX_SKEW);
     // Solve skewness = (4-pi)/2 * b^3/(1-b^2)^{3/2} with b = delta*sqrt(2/pi).
     let c = (2.0 * g.abs() / (4.0 - core::f64::consts::PI)).powf(2.0 / 3.0);
@@ -169,7 +140,7 @@ pub fn fit_burr(samples: &[f64]) -> Result<BurrXii, FitDistError> {
 /// `max_iter` the iteration budget. Returns the best vertex found. This is a
 /// compact, allocation-light implementation sufficient for the 2–3 parameter
 /// fits used in this workspace.
-pub fn nelder_mead(f: &dyn Fn(&[f64]) -> f64, x0: &[f64], step: f64, max_iter: usize) -> Vec<f64> {
+fn nelder_mead(f: &dyn Fn(&[f64]) -> f64, x0: &[f64], step: f64, max_iter: usize) -> Vec<f64> {
     let n = x0.len();
     let mut simplex: Vec<(Vec<f64>, f64)> = Vec::with_capacity(n + 1);
     simplex.push((x0.to_vec(), f(x0)));
@@ -263,7 +234,8 @@ mod tests {
         let truth = SkewNormal::new(10.0, 2.0, 2.5);
         let mut rng = SmallRng::seed_from_u64(4);
         let xs: Vec<f64> = (0..100_000).map(|_| truth.sample(&mut rng)).collect();
-        let fitted = fit_skew_normal(&xs).unwrap();
+        let m = Moments::from_samples(&xs);
+        let fitted = skew_normal_from_moments(m.mean, m.std, m.skewness);
         assert!((fitted.mean() - truth.mean()).abs() < 0.05);
         assert!((fitted.std() - truth.std()).abs() < 0.05);
         // Quantiles track within 1%.
@@ -280,9 +252,9 @@ mod tests {
         let xs: Vec<f64> = (0..50_000)
             .map(|_| -rand::Rng::gen_range(&mut rng, f64::EPSILON..1.0f64).ln())
             .collect();
-        let fitted = fit_skew_normal(&xs).unwrap();
-        // Still produces a valid distribution with matching mean/std.
         let m = Moments::from_samples(&xs);
+        let fitted = skew_normal_from_moments(m.mean, m.std, m.skewness);
+        // Still produces a valid distribution with matching mean/std.
         assert!((fitted.mean() - m.mean).abs() / m.mean < 0.02);
         assert!((fitted.std() - m.std).abs() / m.std < 0.02);
     }
@@ -322,7 +294,7 @@ mod tests {
     #[test]
     fn fits_reject_tiny_samples() {
         assert!(matches!(
-            fit_skew_normal(&[1.0, 2.0]),
+            fit_log_skew_normal(&[1.0, 2.0]),
             Err(FitDistError::SampleTooSmall(2))
         ));
         assert!(matches!(

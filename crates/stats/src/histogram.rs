@@ -101,7 +101,7 @@ impl Histogram {
     }
 
     /// Bin width.
-    pub fn bin_width(&self) -> f64 {
+    fn bin_width(&self) -> f64 {
         (self.hi - self.lo) / self.bins.len() as f64
     }
 

@@ -7,7 +7,7 @@
 //! Everything the delay models need from numerical statistics lives here:
 //!
 //! * [`special`] — erf/Φ/Φ⁻¹, ln Γ, Owen's T;
-//! * [`linalg`] — small dense matrices, Cholesky and LU solvers;
+//! * [`linalg`] — small dense matrices and a Cholesky solver;
 //! * [`regression`] — OLS/ridge fits and the polynomial feature rows used by
 //!   the paper's eqs. (2)–(3);
 //! * [`moments`] — the `[μ, σ, γ, κ]` moment vector, batch and streaming;
@@ -15,7 +15,6 @@
 //! * [`distributions`] / [`fit`] — Normal, LogNormal, SkewNormal,
 //!   LogSkewNormal and Burr XII with moment-based fitting (the LSN \[12\] and
 //!   Burr \[13\] baselines);
-//! * [`interp`] — Liberty-style 2-D table interpolation;
 //! * [`histogram`] — binning for the figure reproductions;
 //! * [`rng`] — seeded, reproducible sampling utilities;
 //! * [`par`] — the one deterministic fan-out over indexed rows.
@@ -46,7 +45,6 @@
 pub mod distributions;
 pub mod fit;
 pub mod histogram;
-pub mod interp;
 pub mod linalg;
 pub mod moments;
 pub mod par;

@@ -2,7 +2,7 @@
 //!
 //! The matrices involved in the N-sigma model regressions are tiny (at most a
 //! few dozen columns), so a straightforward row-major dense [`Matrix`] with
-//! Cholesky and partially-pivoted LU solvers is both simple and fast.
+//! a Cholesky solver is both simple and fast.
 
 use std::fmt;
 
@@ -26,21 +26,12 @@ pub struct Matrix {
 
 impl Matrix {
     /// Creates a `rows × cols` matrix of zeros.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    fn zeros(rows: usize, cols: usize) -> Self {
         Self {
             rows,
             cols,
             data: vec![0.0; rows * cols],
         }
-    }
-
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
     }
 
     /// Builds a matrix from row slices.
@@ -92,32 +83,6 @@ impl Matrix {
             }
         }
         t
-    }
-
-    /// Matrix product `self * other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions disagree.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul dimension mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out[(i, j)] += a * other[(k, j)];
-                }
-            }
-        }
-        out
     }
 
     /// Matrix-vector product `self * v`.
@@ -257,81 +222,9 @@ pub fn cholesky_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, SolveError> {
     Ok(x)
 }
 
-/// Solves the general square system `A x = b` by LU decomposition with
-/// partial pivoting.
-///
-/// # Errors
-///
-/// Returns [`SolveError::Singular`] if a pivot underflows, and
-/// [`SolveError::DimensionMismatch`] if shapes disagree.
-pub fn lu_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, SolveError> {
-    let n = a.rows();
-    if a.cols() != n || b.len() != n {
-        return Err(SolveError::DimensionMismatch);
-    }
-    let mut lu = a.data.clone();
-    let mut perm: Vec<usize> = (0..n).collect();
-
-    for col in 0..n {
-        // Pivot selection
-        let mut pivot = col;
-        let mut max = lu[perm[col] * n + col].abs();
-        for row in (col + 1)..n {
-            let v = lu[perm[row] * n + col].abs();
-            if v > max {
-                max = v;
-                pivot = row;
-            }
-        }
-        if max < 1e-300 {
-            return Err(SolveError::Singular);
-        }
-        perm.swap(col, pivot);
-        let p = perm[col];
-        let diag = lu[p * n + col];
-        for &r in &perm[col + 1..n] {
-            let factor = lu[r * n + col] / diag;
-            lu[r * n + col] = factor;
-            for j in (col + 1)..n {
-                lu[r * n + j] -= factor * lu[p * n + j];
-            }
-        }
-    }
-
-    // Forward substitution with permutation
-    let mut y = vec![0.0; n];
-    for i in 0..n {
-        let r = perm[i];
-        let mut sum = b[r];
-        for k in 0..i {
-            sum -= lu[r * n + k] * y[k];
-        }
-        y[i] = sum;
-    }
-    // Back substitution
-    let mut x = vec![0.0; n];
-    for i in (0..n).rev() {
-        let r = perm[i];
-        let mut sum = y[i];
-        for k in (i + 1)..n {
-            sum -= lu[r * n + k] * x[k];
-        }
-        x[i] = sum / lu[r * n + i];
-    }
-    Ok(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn matmul_identity() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let i = Matrix::identity(2);
-        assert_eq!(a.matmul(&i), a);
-        assert_eq!(i.matmul(&a), a);
-    }
 
     #[test]
     fn transpose_roundtrip() {
@@ -355,34 +248,13 @@ mod tests {
     }
 
     #[test]
-    fn lu_solves_general() {
-        let a = Matrix::from_rows(&[
-            vec![0.0, 2.0, 1.0],
-            vec![1.0, -2.0, -3.0],
-            vec![-1.0, 1.0, 2.0],
-        ]);
-        let b = [-8.0, 0.0, 3.0];
-        let x = lu_solve(&a, &b).unwrap();
-        let r = a.matvec(&x);
-        for (ri, bi) in r.iter().zip(&b) {
-            assert!((ri - bi).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn lu_rejects_singular() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]);
-        assert_eq!(lu_solve(&a, &[1.0, 2.0]), Err(SolveError::Singular));
-    }
-
-    #[test]
     fn gram_matches_explicit_product() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
         let g = a.gram();
-        let g2 = a.transpose().matmul(&a);
         for i in 0..2 {
             for j in 0..2 {
-                assert!((g[(i, j)] - g2[(i, j)]).abs() < 1e-12);
+                let explicit: f64 = (0..a.rows()).map(|r| a[(r, i)] * a[(r, j)]).sum();
+                assert!((g[(i, j)] - explicit).abs() < 1e-12);
             }
         }
     }

@@ -69,11 +69,6 @@ impl Moments {
         }
     }
 
-    /// Excess kurtosis (Gaussian → 0), as plotted in the paper's Fig. 3(b).
-    pub fn excess_kurtosis(&self) -> f64 {
-        self.kurtosis - 3.0
-    }
-
     /// Coefficient of variation σ/μ — the "delay variability" the wire model
     /// of §IV is built on.
     ///
@@ -243,7 +238,6 @@ mod tests {
         assert!((m.std - 1.0).abs() < 0.02);
         assert!(m.skewness.abs() < 0.05);
         assert!((m.kurtosis - 3.0).abs() < 0.1);
-        assert!(m.excess_kurtosis().abs() < 0.1);
     }
 
     #[test]

@@ -138,7 +138,7 @@ impl QuantileSet {
     /// # Panics
     ///
     /// Panics if `sorted` is empty.
-    pub fn from_sorted(sorted: &[f64]) -> Self {
+    fn from_sorted(sorted: &[f64]) -> Self {
         Self::from_fn(|lvl| quantile_sorted(sorted, lvl.probability()))
     }
 

@@ -1,5 +1,5 @@
-//! Ordinary least-squares and ridge regression, plus polynomial feature
-//! helpers.
+//! Ordinary least-squares and ridge regression, plus the feature rows of
+//! eqs. (2)–(3).
 //!
 //! The N-sigma model of the paper fits its quantile coefficients (`A_ni`,
 //! `B_nj` of Table I) and its moment-calibration coefficients (`P`, `Q`, `R`,
@@ -158,17 +158,6 @@ pub fn ridge(x: &Matrix, y: &[f64], lambda: f64) -> Result<LinearFit, FitError> 
     })
 }
 
-/// Builds a univariate polynomial design row `[1, x, x², …, xᵈ]`.
-pub fn poly_features(x: f64, degree: usize) -> Vec<f64> {
-    let mut row = Vec::with_capacity(degree + 1);
-    let mut p = 1.0;
-    for _ in 0..=degree {
-        row.push(p);
-        p *= x;
-    }
-    row
-}
-
 /// Builds the bivariate cubic-with-cross-term feature row used by the paper's
 /// eq. (3): `[1, Δs, Δc, Δs², Δc², Δs³, Δc³, Δs·Δc]`.
 pub fn cubic_cross_features(ds: f64, dc: f64) -> [f64; 8] {
@@ -188,17 +177,6 @@ pub fn cubic_cross_features(ds: f64, dc: f64) -> [f64; 8] {
 /// eq. (2): `[1, Δs, Δc, Δs·Δc]`.
 pub fn bilinear_cross_features(ds: f64, dc: f64) -> [f64; 4] {
     [1.0, ds, dc, ds * dc]
-}
-
-/// Fits a univariate polynomial `y ≈ Σ cᵢ xⁱ` of the given degree.
-///
-/// # Errors
-///
-/// See [`ols`].
-pub fn polyfit(xs: &[f64], ys: &[f64], degree: usize) -> Result<LinearFit, FitError> {
-    assert_eq!(xs.len(), ys.len(), "polyfit requires equal-length inputs");
-    let rows: Vec<Vec<f64>> = xs.iter().map(|&x| poly_features(x, degree)).collect();
-    ols(&Matrix::from_rows(&rows), ys)
 }
 
 #[cfg(test)]
@@ -264,7 +242,8 @@ mod tests {
     fn polyfit_quadratic() {
         let xs: Vec<f64> = (0..10).map(|i| i as f64 * 0.3).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 2.0 - x + 0.5 * x * x).collect();
-        let fit = polyfit(&xs, &ys, 2).unwrap();
+        let rows: Vec<Vec<f64>> = xs.iter().map(|&x| vec![1.0, x, x * x]).collect();
+        let fit = ols(&Matrix::from_rows(&rows), &ys).unwrap();
         assert!((fit.coefficients[0] - 2.0).abs() < 1e-8);
         assert!((fit.coefficients[1] + 1.0).abs() < 1e-8);
         assert!((fit.coefficients[2] - 0.5).abs() < 1e-8);
@@ -272,7 +251,6 @@ mod tests {
 
     #[test]
     fn feature_builders_have_documented_shapes() {
-        assert_eq!(poly_features(2.0, 3), vec![1.0, 2.0, 4.0, 8.0]);
         assert_eq!(bilinear_cross_features(2.0, 3.0), [1.0, 2.0, 3.0, 6.0]);
         let c = cubic_cross_features(2.0, 3.0);
         assert_eq!(c, [1.0, 2.0, 3.0, 4.0, 9.0, 8.0, 27.0, 6.0]);

@@ -14,14 +14,13 @@ use rand::{Rng, RngCore};
 /// ```
 /// use nsigma_stats::rng::SeedStream;
 ///
-/// let mut s = SeedStream::new(42);
-/// let a = s.next_seed();
-/// let b = s.next_seed();
+/// let s = SeedStream::new(42);
+/// let a = s.tagged_seed(0);
+/// let b = s.tagged_seed(1);
 /// assert_ne!(a, b);
 ///
-/// // Deterministic: same master seed, same sequence.
-/// let mut s2 = SeedStream::new(42);
-/// assert_eq!(s2.next_seed(), a);
+/// // Deterministic: same master seed, same child seeds.
+/// assert_eq!(SeedStream::new(42).tagged_seed(0), a);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SeedStream {
@@ -34,16 +33,7 @@ impl SeedStream {
         Self { state: master }
     }
 
-    /// Returns the next child seed (SplitMix64 step).
-    pub fn next_seed(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Derives a child seed tagged by a label, independent of stream position.
+    /// Derives a child seed tagged by a label.
     ///
     /// Useful to give e.g. "cell 17, arc 3" a stable seed regardless of
     /// evaluation order.
@@ -67,8 +57,8 @@ impl SeedStream {
 ///
 /// The construction is SplitMix64 twice over: the stream key is
 /// [`SeedStream::tagged_seed`]`(stream)` of the master seed, and output `i`
-/// is the SplitMix64 finalizer of `key + (i+1)·φ` — i.e. the plain
-/// [`SeedStream`] sequence started at the key, addressable by position.
+/// is the SplitMix64 finalizer of `key + (i+1)·φ` — i.e. the SplitMix64
+/// sequence started at the key.
 ///
 /// # Examples
 ///
@@ -78,11 +68,11 @@ impl SeedStream {
 ///
 /// let mut a = CounterRng::new(42, 0);
 /// let mut b = CounterRng::new(42, 1);
-/// assert_ne!(a.next_u64(), b.next_u64()); // distinct streams
+/// let first = a.next_u64();
+/// assert_ne!(first, b.next_u64()); // distinct streams
 ///
 /// let mut c = CounterRng::new(42, 0);
-/// c.set_position(1);
-/// assert_eq!(a.next_u64(), c.next_u64()); // position-addressable
+/// assert_eq!(c.next_u64(), first); // a stream replays from its (master, stream) pair
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterRng {
@@ -97,16 +87,6 @@ impl CounterRng {
             key: SeedStream::new(master).tagged_seed(stream),
             counter: 0,
         }
-    }
-
-    /// How many 64-bit words have been drawn.
-    pub fn position(&self) -> u64 {
-        self.counter
-    }
-
-    /// Jumps to an absolute position in the stream (0 = the start).
-    pub fn set_position(&mut self, position: u64) {
-        self.counter = position;
     }
 }
 
@@ -170,24 +150,21 @@ mod tests {
 
     #[test]
     fn seed_stream_is_deterministic() {
-        let mut a = SeedStream::new(7);
-        let mut b = SeedStream::new(7);
-        for _ in 0..10 {
-            assert_eq!(a.next_seed(), b.next_seed());
+        let a = SeedStream::new(7);
+        let b = SeedStream::new(7);
+        for tag in 0..10 {
+            assert_eq!(a.tagged_seed(tag), b.tagged_seed(tag));
         }
     }
 
     #[test]
     fn tagged_seed_ignores_position() {
-        let mut a = SeedStream::new(7);
-        let before = a.tagged_seed(99);
-        a.next_seed();
-        a.next_seed();
-        // tagged_seed uses current state, so advance changes it...
-        assert_ne!(a.tagged_seed(99), 0);
-        // ...but a fresh stream reproduces the original tag.
-        let b = SeedStream::new(7);
-        assert_eq!(b.tagged_seed(99), before);
+        // A tag's seed does not depend on which tags were derived before it.
+        let a = SeedStream::new(7);
+        let forward: Vec<u64> = (0..10).map(|tag| a.tagged_seed(tag)).collect();
+        let backward: Vec<u64> = (0..10).rev().map(|tag| a.tagged_seed(tag)).collect();
+        assert!(forward.iter().eq(backward.iter().rev()));
+        assert_eq!(SeedStream::new(7).tagged_seed(99), a.tagged_seed(99));
     }
 
     #[test]
@@ -255,19 +232,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn counter_rng_position_jump_matches_sequential() {
-        let mut seq = CounterRng::new(9, 4);
-        for _ in 0..10 {
-            seq.next_u64();
-        }
-        let expected = seq.next_u64();
-        let mut jumped = CounterRng::new(9, 4);
-        jumped.set_position(10);
-        assert_eq!(jumped.next_u64(), expected);
-        assert_eq!(jumped.position(), 11);
     }
 
     #[test]

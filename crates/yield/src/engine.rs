@@ -195,7 +195,7 @@ pub fn run_yield<B: Borrow<NsigmaTimer>>(
 /// [`YieldCurve`] when the quantiles are strictly increasing, a step
 /// function over the levels otherwise (a degenerate ladder — e.g. a
 /// near-deterministic toy design — has no continuous curve).
-pub fn analytic_yield_at(q: &QuantileSet, t: f64) -> f64 {
+fn analytic_yield_at(q: &QuantileSet, t: f64) -> f64 {
     if q.as_array().windows(2).all(|w| w[0] < w[1]) {
         return YieldCurve::new(q).yield_at(t);
     }

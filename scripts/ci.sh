@@ -8,21 +8,77 @@ export CARGO_NET_OFFLINE=true
 
 cargo fmt --check
 
+deps_of() { # deps_of TABLE MANIFEST: the entry names of one manifest table
+  awk -v table="$1" '/^\[/ { in_deps = ($0 == table); next }
+                     in_deps && /^[A-Za-z0-9_-]+ *=/ { print $1 }' "$2"
+}
+
 # Every [dependencies] entry of a workspace crate must be named (hyphens
-# as underscores) somewhere in that crate's src/ or benches/; a manifest
-# entry no source uses fails the gate.
+# as underscores) somewhere in that crate's src/ or benches/, and every
+# [dev-dependencies] entry there or in its tests/ and examples/, or in the
+# files its [[test]]/[[example]] targets point at (the facade's root
+# tests/ and examples/); a manifest entry no source uses fails the gate.
 unused_deps=$(for manifest in crates/*/Cargo.toml; do
   dir=$(dirname "$manifest")
   srcs=("$dir/src")
   if [ -d "$dir/benches" ]; then srcs+=("$dir/benches"); fi
-  for dep in $(awk '/^\[/ { in_deps = ($0 == "[dependencies]"); next }
-                    in_deps && /^[A-Za-z0-9_-]+ *=/ { print $1 }' "$manifest"); do
+  dev_srcs=("${srcs[@]}")
+  for sub in tests examples; do
+    if [ -d "$dir/$sub" ]; then dev_srcs+=("$dir/$sub"); fi
+  done
+  for target in $(awk '/^\[\[(test|example)\]\]/ { in_target = 1; next } /^\[/ { in_target = 0 }
+                       in_target && /^path *=/ { gsub(/"/, "", $3); print $3 }' "$manifest"); do
+    dev_srcs+=("$dir/$target")
+  done
+  for dep in $(deps_of "[dependencies]" "$manifest"); do
     grep -rqw "${dep//-/_}" "${srcs[@]}" || echo "$manifest: $dep"
+  done
+  for dep in $(deps_of "[dev-dependencies]" "$manifest"); do
+    grep -rqw "${dep//-/_}" "${dev_srcs[@]}" || echo "$manifest: $dep (dev)"
   done
 done)
 if [ -n "$unused_deps" ]; then
-  echo "ci: [dependencies] entries no source uses:" >&2
+  echo "ci: dependency entries no source uses:" >&2
   echo "$unused_deps" >&2
+  exit 1
+fi
+
+# Every `pub fn` and `pub mod` in crates/*/src outside #[cfg(test)] (the
+# same awk rule as the unwrap gate below) must be named as a word in some
+# other .rs file under crates/, tests/, examples/ or perfbench/src/; the
+# file a `pub mod` declares does not count. Use inside one file is left to
+# rustc: a helper only its own file calls is private, and clippy's
+# dead_code fails it once nothing calls it. An allow-list entry reads
+# "<file>: <name> <reason>"; one without a reason fails the gate.
+pub_allow=()
+for entry in ${pub_allow[@]+"${pub_allow[@]}"}; do
+  read -r _ _ reason <<< "$entry"
+  if [ -z "$reason" ]; then
+    echo "ci: pub allow-list entry without a reason: $entry" >&2
+    exit 1
+  fi
+done
+unused_pub=$(for f in $(find crates/*/src -name '*.rs' | sort); do
+  case "$f" in
+    */lib.rs | */main.rs | */mod.rs) mod_dir=$(dirname "$f") ;;
+    *) mod_dir=${f%.rs} ;;
+  esac
+  awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" |
+    sed -nE 's/^[[:space:]]*pub (fn|mod) ([A-Za-z_][A-Za-z0-9_]*).*/\1 \2/p' | sort -u |
+    while read -r kind name; do
+      own=("$f")
+      if [ "$kind" = mod ]; then own+=("$mod_dir/$name.rs" "$mod_dir/$name/mod.rs"); fi
+      for entry in ${pub_allow[@]+"${pub_allow[@]}"}; do
+        case "$entry" in "$f: $name "*) continue 2 ;; esac
+      done
+      users=$(grep -rlw --include='*.rs' "$name" crates tests examples perfbench/src |
+        grep -vxFf <(printf '%s\n' "${own[@]}") || true)
+      if [ -z "$users" ]; then echo "$f: pub $kind $name"; fi
+    done
+done)
+if [ -n "$unused_pub" ]; then
+  echo "ci: pub items no other file names (delete them, or make them private):" >&2
+  echo "$unused_pub" >&2
   exit 1
 fi
 

@@ -450,11 +450,13 @@ fn backpressure_answers_deadline_and_overloaded_over_the_wire() {
 
     std::thread::scope(|scope| {
         let long = scope.spawn(move || holder.request_ok(&long_yield(1)));
-        // Until the yield holds the slot a `stats` runs at once; once it
-        // does, `stats` waits out the deadline.
+        // Until the yield holds the slot an `analyze_path` runs at once;
+        // once it does, `analyze_path` waits out the deadline.
         let mut waiter = Client::connect(("127.0.0.1", port)).expect("connect");
         let refused = (0..500).find_map(|_| {
-            let reply = waiter.request(r#"{"cmd":"stats"}"#).expect("reply");
+            let reply = waiter
+                .request(r#"{"cmd":"analyze_path","design":"c432"}"#)
+                .expect("reply");
             if code(&reply) == Some("deadline") {
                 return Some(reply);
             }
@@ -464,6 +466,36 @@ fn backpressure_answers_deadline_and_overloaded_over_the_wire() {
         assert!(
             refused.is_some(),
             "a request behind the yield must time out"
+        );
+
+        // With the yield running and a second request waiting for the slot,
+        // `stats` skips the gate: it answers at once and shows the waiter.
+        let engine = handle.engine();
+        let queued = scope.spawn(move || {
+            engine.process(Request::AnalyzePath {
+                design: "c432".into(),
+            })
+        });
+        let until = Instant::now() + Duration::from_secs(60);
+        loop {
+            let stats = waiter
+                .request_ok(r#"{"cmd":"stats"}"#)
+                .expect("stats answers while the slot is taken");
+            if stats.get("queue_depth").and_then(Value::as_u64) == Some(1) {
+                break;
+            }
+            assert!(
+                Instant::now() < until && !queued.is_finished(),
+                "the second request never waited"
+            );
+        }
+        let queued = queued.join().expect("queued request thread");
+        let queued = nsigma_server::json::parse(&queued).expect("a JSON reply");
+        // It waits out the deadline unless the yield finishes first.
+        let queued_timed_out = code(&queued) == Some("deadline");
+        assert!(
+            queued_timed_out || queued.get("ok").and_then(Value::as_bool) == Some(true),
+            "{queued:?}"
         );
 
         // A third connection while the other two are open is past the cap
@@ -485,7 +517,10 @@ fn backpressure_answers_deadline_and_overloaded_over_the_wire() {
             Some(long_yield_samples())
         );
         let stats = waiter.request_ok(r#"{"cmd":"stats"}"#).expect("stats");
-        assert_eq!(counter(&stats, "rejected_deadline"), Some(1));
+        assert_eq!(
+            counter(&stats, "rejected_deadline"),
+            Some(1 + u64::from(queued_timed_out))
+        );
         assert_eq!(counter(&stats, "rejected_overload"), Some(1));
         assert_eq!(stats.get("queue_capacity").and_then(Value::as_u64), Some(1));
         assert_eq!(stats.get("queue_depth").and_then(Value::as_u64), Some(0));
