@@ -95,11 +95,6 @@ impl CorrectionTimer {
         Self::calibrate(&design, mc_samples, seed ^ 0xC1)
     }
 
-    /// The fitted factors `(mean, cv)`.
-    pub fn factors(&self) -> (f64, f64) {
-        (self.mean_factor, self.cv_factor)
-    }
-
     /// Analyzes a path: nominal sum (cells + Elmore wires) scaled by the
     /// calibrated factors, symmetric in ±nσ.
     ///
@@ -198,7 +193,7 @@ mod tests {
         // reproduce in magnitude) but is measurably worse than
         // self-calibration.
         assert!(rel < 0.15, "transfer error {rel:.3}");
-        let (mf, cv) = timer.factors();
+        let (mf, cv) = (timer.mean_factor, timer.cv_factor);
         assert!(mf > 0.5 && mf < 2.0);
         assert!(cv > 0.0 && cv < 0.5);
     }

@@ -58,30 +58,10 @@ impl MomentGrid {
         &self.points[i * self.loads.len() + j]
     }
 
-    /// The grid point nearest to the requested operating condition.
-    pub fn nearest(&self, slew: f64, load: f64) -> &GridPoint {
-        let i = nearest_index(&self.slews, slew);
-        let j = nearest_index(&self.loads, load);
-        self.at(i, j)
-    }
-
     /// Iterates over all grid points.
     pub fn iter(&self) -> impl Iterator<Item = &GridPoint> {
         self.points.iter()
     }
-}
-
-fn nearest_index(axis: &[f64], x: f64) -> usize {
-    let mut best = 0;
-    let mut best_d = f64::INFINITY;
-    for (i, &a) in axis.iter().enumerate() {
-        let d = (a - x).abs();
-        if d < best_d {
-            best_d = d;
-            best = i;
-        }
-    }
-    best
 }
 
 /// Characterization configuration.
@@ -282,16 +262,6 @@ mod tests {
             assert!(p.quantiles.is_monotone());
             assert!(p.moments.skewness > 0.0, "near-threshold delay skews right");
         }
-    }
-
-    #[test]
-    fn nearest_lookup_picks_closest_point() {
-        let tech = Technology::synthetic_28nm();
-        let cell = Cell::new(CellKind::Inv, 1);
-        let grid = characterize_cell(&tech, &cell, &quick_cfg());
-        let p = grid.nearest(11e-12, 0.5e-15);
-        assert_eq!(p.slew, 10e-12);
-        assert_eq!(p.load, 0.4e-15);
     }
 
     #[test]

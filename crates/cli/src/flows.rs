@@ -102,6 +102,13 @@ fn load_design(args: &Args, tech: &Technology) -> Result<Design, FlowError> {
                 .netlist
                 .find_net(&net.name)
                 .ok_or_else(|| err(format!("SPEF net '{}' not in the design", net.name)))?;
+            let (sinks, fanout) = (net.tree.sinks().len(), design.netlist.fanout(id));
+            if sinks != fanout {
+                return Err(err(format!(
+                    "SPEF net '{}' has {sinks} sink(s) but netlist fanout is {fanout}",
+                    net.name
+                )));
+            }
             design.set_parasitic(id, net.tree);
         }
     }
@@ -785,5 +792,56 @@ mod tests {
             "analyze --verilog {v} --coeff {coeff} --spef {bad_path}"
         ));
         assert!(run_analyze(&args).is_err());
+
+        // A SPEF net whose sinks disagree with the netlist fanout is an
+        // error that names the net and both counts.
+        let name = design.netlist.net(net).name.clone();
+        let sinkless = spef::write(&[spef::SpefNet {
+            name: name.clone(),
+            tree: nsigma_interconnect::rctree::RcTree::new(1e-16),
+        }]);
+        let sinkless_path = tmp("sinkless.spef");
+        std::fs::write(&sinkless_path, sinkless).unwrap();
+        let args = argv(&format!(
+            "analyze --verilog {v} --coeff {coeff} --spef {sinkless_path}"
+        ));
+        let e = run_analyze(&args).unwrap_err().to_string();
+        let fanout = design.netlist.fanout(net);
+        assert!(
+            e.contains(&name) && e.contains(&format!("0 sink(s) but netlist fanout is {fanout}")),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn zero_ohm_spef_segment_is_an_error_not_a_panic() {
+        let coeff = quick_coeff_file();
+        let v = quick_verilog_file();
+        let lib = CellLibrary::standard();
+        let text = std::fs::read_to_string(&v).unwrap();
+        let nl = parse_verilog(&text, &lib).unwrap();
+        let net = nl.net_ids().find(|&n| nl.fanout(n) == 1).unwrap();
+        let spef_text = format!(
+            "*SPEF-LITE 1\n*NET {}\n*N 0 -1 0 1e-16\n*N 1 0 0 2e-16\n*S 1\n*END\n",
+            nl.net(net).name
+        );
+        let spef_path = tmp("zero_ohm.spef");
+        std::fs::write(&spef_path, spef_text).unwrap();
+        type Flow = fn(&Args) -> Result<String, FlowError>;
+        let runs: [(&str, Flow); 3] = [
+            ("analyze", run_analyze),
+            ("mc", run_mc),
+            ("yield", run_yield),
+        ];
+        for (cmd, run) in runs {
+            let args = argv(&format!(
+                "{cmd} --verilog {v} --coeff {coeff} --spef {spef_path}"
+            ));
+            let e = run(&args).unwrap_err().to_string();
+            assert!(e.contains("line 4"), "{cmd}: {e}");
+        }
+        let args = argv(&format!("lint --verilog {v} --spef {spef_path}"));
+        let e = run_lint(&args).unwrap_err().to_string();
+        assert!(e.contains("RC001"), "{e}");
     }
 }

@@ -198,11 +198,6 @@ impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
         &self.compiled
     }
 
-    /// The merge rule the session was built with.
-    pub fn rule(&self) -> MergeRule {
-        self.rule
-    }
-
     /// Runs `f` with path DP tables from the pool, returning them
     /// afterwards.
     fn with_scratch<T>(&self, f: impl FnOnce(&mut PathScratch) -> T) -> T {

@@ -326,7 +326,7 @@ impl WireVariabilityModel {
 
     /// The cell-specific coefficient used at analysis time: the measured
     /// value when the cell was characterized, else the eq. (5) law.
-    pub fn coefficient(&self, cell: &Cell) -> f64 {
+    fn coefficient(&self, cell: &Cell) -> f64 {
         self.measured
             .get(cell.name())
             .copied()

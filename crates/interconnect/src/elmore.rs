@@ -3,16 +3,17 @@
 //!
 //! The Elmore delay from the root to sink `pN` is the paper's eq. (4):
 //! `T_Elmore = Σ_k R_pk · C_pk` — the first moment of the impulse response.
+//! [`moments_into`] is the one moment pass: [`moments_all`] runs it on a
+//! tree ([`elmore_all`] its m₁ half), the golden kernel's `WirePlan` on
+//! each sampled net's arrays.
 
 use crate::rctree::{NodeId, RcTree};
 
 /// First moment (Elmore delay, s) of the impulse response at every node.
-///
-/// Computed with the classic two-pass O(n) algorithm: downstream capacitance
-/// bottom-up, then `m1(child) = m1(parent) + R_edge · C_downstream(child)`
-/// top-down.
 pub fn elmore_all(tree: &RcTree) -> Vec<f64> {
-    weighted_first_moment(tree, |node| tree.cap(node))
+    let (mut down, mut m1) = (tree.caps().to_vec(), vec![0.0; tree.len()]);
+    accumulate(tree.parents(), tree.res(), 0.0, &mut down, &mut m1);
+    m1
 }
 
 /// Elmore delay (s) at one sink — the paper's `T_Elmore` for that wire.
@@ -34,41 +35,77 @@ pub fn elmore_delay(tree: &RcTree, sink: NodeId) -> f64 {
 }
 
 /// First two impulse-response moments `(m1, m2)` at every node.
-///
-/// `m2` uses the same downstream-accumulation pattern as Elmore, with node
-/// weights `C_k · m1(k)`:
-/// `m2(i) = Σ_k R_common(i,k) · C_k · m1(k)`.
 pub fn moments_all(tree: &RcTree) -> (Vec<f64>, Vec<f64>) {
-    let m1 = elmore_all(tree);
-    let m2 = weighted_first_moment(tree, |node| tree.cap(node) * m1[node.index()]);
+    let n = tree.len();
+    let (mut down, mut m1, mut m2) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    moments_into(
+        tree.parents(),
+        tree.res(),
+        tree.caps(),
+        0.0,
+        &mut down,
+        &mut m1,
+        &mut m2,
+    );
     (m1, m2)
 }
 
-/// Shared two-pass tree accumulation: for node weights `w(k)`, computes
-/// `f(i) = Σ_k R_common(root→i, root→k) · w(k)` at every node.
-fn weighted_first_moment(tree: &RcTree, weight: impl Fn(NodeId) -> f64) -> Vec<f64> {
-    let n = tree.len();
-    // Downstream weight sums (subtree totals), computed leaves-first.
-    let mut down: Vec<f64> = (0..n).map(|i| weight(NodeId(i))).collect();
-    for id in (1..n).rev() {
-        let parent = tree
-            .parent(NodeId(id))
-            .expect("non-root node has a parent")
-            .index();
-        down[parent] += down[id];
+/// `m1` and `m2` at every node of the tree given by `parent`, `res` and
+/// `cap` (the [`RcTree`] layout), with `driver_res` as node 0's edge from
+/// an ideal source (0 for the tree alone); `down` is scratch. Two O(n)
+/// passes per moment: subtree sums of the node weights (`C_k`, then
+/// `C_k · m1(k)`) leaves-first, then `m(i) = m(parent) + R_i · down(i)`.
+///
+/// # Panics
+///
+/// Panics if a slice is shorter than `parent`.
+pub fn moments_into(
+    parent: &[u32],
+    res: &[f64],
+    cap: &[f64],
+    driver_res: f64,
+    down: &mut [f64],
+    m1: &mut [f64],
+    m2: &mut [f64],
+) {
+    let n = parent.len();
+    let (res, cap) = (&res[..n], &cap[..n]);
+    let (down, m1, m2) = (&mut down[..n], &mut m1[..n], &mut m2[..n]);
+    down.copy_from_slice(cap);
+    accumulate(parent, res, driver_res, down, m1);
+    for i in 0..n {
+        down[i] = cap[i] * m1[i];
     }
-    // Accumulate R_edge * downstream along root-to-node paths, parents first.
-    let mut acc = vec![0.0; n];
-    for id in tree.topo_order().skip(1) {
-        let parent = tree.parent(id).expect("non-root").index();
-        acc[id.index()] = acc[parent] + tree.res(id) * down[id.index()];
+    accumulate(parent, res, driver_res, down, m2);
+}
+
+/// One moment from the node weights in `down`: subtree sums leaves-first
+/// (in place), then the root-first accumulation into `m`.
+fn accumulate(parent: &[u32], res: &[f64], driver_res: f64, down: &mut [f64], m: &mut [f64]) {
+    let n = parent.len();
+    let (res, down, m) = (&res[..n], &mut down[..n], &mut m[..n]);
+    for i in (1..n).rev() {
+        down[parent[i] as usize] += down[i];
     }
-    acc
+    m[0] = driver_res * down[0];
+    for i in 1..n {
+        m[i] = m[parent[i] as usize] + res[i] * down[i];
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Resistance along the path from the root to `node` (Ω).
+    fn path_res(tree: &RcTree, node: usize) -> f64 {
+        let (mut r, mut cur) = (0.0, node);
+        while cur != 0 {
+            r += tree.res()[cur];
+            cur = tree.parents()[cur] as usize;
+        }
+        r
+    }
 
     /// Hand-checkable ladder: root -R1- a -R2- b with caps C0, C1, C2.
     fn ladder() -> (RcTree, NodeId, NodeId) {
@@ -94,17 +131,35 @@ mod tests {
         // node) * (cap at that node).
         let mut t = RcTree::new(0.5e-15);
         let mut cur = RcTree::root();
-        let mut nodes = vec![cur];
         for i in 0..5 {
             cur = t.add_node(cur, 50.0 + 10.0 * i as f64, (1.0 + i as f64) * 1e-15);
-            nodes.push(cur);
         }
         t.mark_sink(cur);
-        let direct: f64 = nodes
-            .iter()
-            .map(|&k| t.path_res(k).min(t.path_res(cur)) * t.cap(k))
+        let direct: f64 = (0..t.len())
+            .map(|k| path_res(&t, k).min(path_res(&t, cur.index())) * t.caps()[k])
             .sum();
         assert!((elmore_delay(&t, cur) - direct).abs() / direct < 1e-12);
+    }
+
+    #[test]
+    fn driver_resistance_is_node_zero_edge() {
+        // Folding R_d in as node 0's edge adds R_d · C_total to every m1.
+        let (t, _, b) = ladder();
+        let n = t.len();
+        let (mut down, mut m1, mut m2) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        moments_into(
+            t.parents(),
+            t.res(),
+            t.caps(),
+            1000.0,
+            &mut down,
+            &mut m1,
+            &mut m2,
+        );
+        let shift = 1000.0 * t.total_cap();
+        assert!((m1[0] - shift).abs() < 1e-24);
+        assert!((m1[b.index()] - (elmore_delay(&t, b) + shift)).abs() < 1e-24);
+        assert!(m2[b.index()] > moments_all(&t).1[b.index()]);
     }
 
     #[test]

@@ -203,10 +203,8 @@ mod tests {
         for k in 1..=4 {
             let t = random_net(&mut rng, k);
             assert_eq!(t.sinks().len(), k);
-            for id in t.topo_order().skip(1) {
-                assert!(t.res(id) > 0.0);
-                assert!(t.cap(id) > 0.0);
-            }
+            assert!(t.res()[1..].iter().all(|&r| r > 0.0));
+            assert!(t.caps()[1..].iter().all(|&c| c > 0.0));
             // Sinks are never the root.
             assert!(t.sinks().iter().all(|&s| s != RcTree::root()));
         }

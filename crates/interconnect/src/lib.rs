@@ -3,13 +3,15 @@
 //! RC-tree interconnect substrate for the `nsigma` workspace (reproduction
 //! of Jin et al., DATE 2023).
 //!
-//! * [`rctree`] — the parasitic tree representation (driver root, sink pins);
+//! * [`rctree`] — the parasitic tree as flat parent/R/C arrays (driver
+//!   root, sink pins);
 //! * [`elmore`] — impulse-response moments: Elmore m₁ (the paper's eq. 4)
-//!   and m₂;
+//!   and m₂, one pass over those arrays;
 //! * [`metrics`] — D2M and the two-pole 50 % metric used by the golden
 //!   simulator at circuit scale;
 //! * [`transient`] — backward-Euler transient solver (the wire "SPICE" of
-//!   Figs. 7/8/10), O(n) per step via tree elimination;
+//!   Figs. 7/8/10) over the same arrays, O(n) per step via tree
+//!   elimination;
 //! * [`spef`] — SPEF-lite parasitic exchange text format;
 //! * [`generator`] — placement-statistics net generation (the IC Compiler
 //!   substitute).

@@ -4,6 +4,12 @@
 //! capacitance at every node — the standard reduced form produced by
 //! parasitic extraction. Node 0 is always the root (the driver output pin);
 //! sink nodes carry the load-cell input pins.
+//!
+//! The tree is three flat arrays indexed by node — parent index, segment
+//! resistance from the parent, grounded capacitance — with parents before
+//! children. The golden kernel's `WirePlan` copies them as they are, and
+//! both wire kernels ([`crate::elmore::moments_into`] and
+//! [`crate::transient::ramp_crossings`]) take them as slices.
 
 /// Identifier of a node within one [`RcTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -24,17 +30,6 @@ impl NodeId {
     }
 }
 
-/// One node of the tree: the resistance of the segment from its parent and
-/// the grounded capacitance at the node.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Node {
-    parent: Option<usize>,
-    /// Resistance (Ω) of the edge from `parent` to this node (0 for root).
-    res: f64,
-    /// Grounded capacitance (F) at this node.
-    cap: f64,
-}
-
 /// An RC tree with a designated root and a set of sink nodes.
 ///
 /// # Examples
@@ -49,26 +44,25 @@ struct Node {
 /// t.mark_sink(n2);
 /// assert_eq!(t.len(), 3);
 /// assert_eq!(t.sinks(), &[n2]);
+/// assert_eq!(t.parents(), &[0, 0, 1]);
 /// assert!((t.total_cap() - 3.0e-15).abs() < 1e-30);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RcTree {
-    nodes: Vec<Node>,
+    parent: Vec<u32>,
+    res: Vec<f64>,
+    cap: Vec<f64>,
     sinks: Vec<NodeId>,
-    children: Vec<Vec<usize>>,
 }
 
 impl RcTree {
     /// Creates a tree containing only the root with the given grounded cap.
     pub fn new(root_cap: f64) -> Self {
         Self {
-            nodes: vec![Node {
-                parent: None,
-                res: 0.0,
-                cap: root_cap,
-            }],
+            parent: vec![0],
+            res: vec![0.0],
+            cap: vec![root_cap],
             sinks: Vec::new(),
-            children: vec![Vec::new()],
         }
     }
 
@@ -84,17 +78,12 @@ impl RcTree {
     ///
     /// Panics if `parent` is out of range or `res`/`cap` are negative.
     pub fn add_node(&mut self, parent: NodeId, res: f64, cap: f64) -> NodeId {
-        assert!(parent.0 < self.nodes.len(), "parent out of range");
+        assert!(parent.0 < self.len(), "parent out of range");
         assert!(res >= 0.0 && cap >= 0.0, "res/cap must be non-negative");
-        let id = self.nodes.len();
-        self.nodes.push(Node {
-            parent: Some(parent.0),
-            res,
-            cap,
-        });
-        self.children.push(Vec::new());
-        self.children[parent.0].push(id);
-        NodeId(id)
+        self.parent.push(parent.0 as u32);
+        self.res.push(res);
+        self.cap.push(cap);
+        NodeId(self.len() - 1)
     }
 
     /// Marks a node as a sink (a load-pin attachment point).
@@ -103,7 +92,7 @@ impl RcTree {
     ///
     /// Panics if the node is out of range.
     pub fn mark_sink(&mut self, node: NodeId) {
-        assert!(node.0 < self.nodes.len(), "node out of range");
+        assert!(node.0 < self.len(), "node out of range");
         if !self.sinks.contains(&node) {
             self.sinks.push(node);
         }
@@ -115,19 +104,19 @@ impl RcTree {
     ///
     /// Panics if the node is out of range or `extra` is negative.
     pub fn add_cap(&mut self, node: NodeId, extra: f64) {
-        assert!(node.0 < self.nodes.len(), "node out of range");
+        assert!(node.0 < self.len(), "node out of range");
         assert!(extra >= 0.0, "cap must be non-negative");
-        self.nodes[node.0].cap += extra;
+        self.cap[node.0] += extra;
     }
 
     /// Number of nodes (including the root).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.parent.len()
     }
 
     /// True if the tree is only the root.
     pub fn is_empty(&self) -> bool {
-        self.nodes.len() == 1
+        self.len() == 1
     }
 
     /// The sink nodes, in insertion order.
@@ -135,66 +124,45 @@ impl RcTree {
         &self.sinks
     }
 
-    /// Parent of a node (`None` for the root).
-    pub fn parent(&self, node: NodeId) -> Option<NodeId> {
-        self.nodes[node.0].parent.map(NodeId)
+    /// Parent index of every node; the root's entry is 0, and every other
+    /// node's parent has a smaller index.
+    pub fn parents(&self) -> &[u32] {
+        &self.parent
     }
 
-    /// Children of a node.
-    pub fn children(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.children[node.0].iter().map(|&i| NodeId(i))
+    /// Segment resistance from the parent into every node (Ω; 0 for the
+    /// root).
+    pub fn res(&self) -> &[f64] {
+        &self.res
     }
 
-    /// Segment resistance from the parent into this node (Ω).
-    pub fn res(&self, node: NodeId) -> f64 {
-        self.nodes[node.0].res
-    }
-
-    /// Grounded capacitance at this node (F).
-    pub fn cap(&self, node: NodeId) -> f64 {
-        self.nodes[node.0].cap
+    /// Grounded capacitance at every node (F).
+    pub fn caps(&self) -> &[f64] {
+        &self.cap
     }
 
     /// Sum of all node capacitances (F) — what the driver sees at DC.
     pub fn total_cap(&self) -> f64 {
-        self.nodes.iter().map(|n| n.cap).sum()
+        self.cap.iter().sum()
     }
 
     /// Total segment resistance (Ω).
     pub fn total_res(&self) -> f64 {
-        self.nodes.iter().map(|n| n.res).sum()
-    }
-
-    /// Resistance along the path from the root to `node` (Ω).
-    pub fn path_res(&self, node: NodeId) -> f64 {
-        let mut r = 0.0;
-        let mut cur = node.0;
-        while let Some(p) = self.nodes[cur].parent {
-            r += self.nodes[cur].res;
-            cur = p;
-        }
-        r
-    }
-
-    /// Nodes in topological order (parents before children). Node storage
-    /// order already satisfies this by construction.
-    pub fn topo_order(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.nodes.len()).map(NodeId)
+        self.res.iter().sum()
     }
 
     /// Returns a copy with every segment resistance and node capacitance
-    /// transformed — the hook the Monte-Carlo sampler uses to apply global
-    /// and local R/C variation.
+    /// transformed. It skips the constructor's checks, so tests use it to
+    /// scale a tree or to poison one with a bad value.
     pub fn scaled_with(
         &self,
         mut res_scale: impl FnMut(NodeId, f64) -> f64,
         mut cap_scale: impl FnMut(NodeId, f64) -> f64,
     ) -> RcTree {
         let mut out = self.clone();
-        for i in 0..out.nodes.len() {
-            let id = NodeId(i);
-            out.nodes[i].res = res_scale(id, self.nodes[i].res);
-            out.nodes[i].cap = cap_scale(id, self.nodes[i].cap);
+        for i in 0..out.len() {
+            out.res[i] = res_scale(NodeId(i), self.res[i]);
+            out.cap[i] = cap_scale(NodeId(i), self.cap[i]);
         }
         out
     }
@@ -222,10 +190,9 @@ mod tests {
         assert_eq!(t.len(), 4);
         assert!((t.total_cap() - 8e-15).abs() < 1e-28);
         assert!((t.total_res() - 300.0).abs() < 1e-9);
-        assert!((t.path_res(ids[3]) - 300.0).abs() < 1e-9);
-        assert!((t.path_res(ids[1]) - 100.0).abs() < 1e-9);
-        assert_eq!(t.parent(ids[1]), Some(RcTree::root()));
-        assert_eq!(t.parent(RcTree::root()), None);
+        assert_eq!(t.parents(), &[0, 0, 1, 2]);
+        assert_eq!(t.res(), &[0.0, 100.0, 100.0, 100.0]);
+        assert_eq!(t.sinks(), &[ids[3]]);
     }
 
     #[test]
@@ -240,7 +207,7 @@ mod tests {
     fn add_cap_accumulates() {
         let (mut t, ids) = chain(1, 1.0, 1e-15);
         t.add_cap(ids[1], 3e-15);
-        assert!((t.cap(ids[1]) - 4e-15).abs() < 1e-28);
+        assert!((t.caps()[ids[1].index()] - 4e-15).abs() < 1e-28);
     }
 
     #[test]
@@ -257,9 +224,9 @@ mod tests {
     fn branching_children() {
         let mut t = RcTree::new(1e-15);
         let a = t.add_node(RcTree::root(), 1.0, 1e-15);
-        let b = t.add_node(RcTree::root(), 1.0, 1e-15);
-        let kids: Vec<NodeId> = t.children(RcTree::root()).collect();
-        assert_eq!(kids, vec![a, b]);
+        t.add_node(RcTree::root(), 1.0, 1e-15);
+        t.add_node(a, 1.0, 1e-15);
+        assert_eq!(t.parents(), &[0, 0, 0, 1]);
     }
 
     #[test]

@@ -41,7 +41,8 @@ pub enum ParseSpefError {
     DuplicateNode(usize),
     /// A `*N` parent or `*S` sink referenced a node not yet declared.
     UndeclaredNode(usize),
-    /// A resistance or capacitance was negative or not finite.
+    /// A resistance or capacitance was negative or not finite, or a
+    /// non-root segment resistance was zero.
     BadValue(usize),
     /// The file ended before `*END`.
     UnexpectedEof,
@@ -63,7 +64,10 @@ impl std::fmt::Display for ParseSpefError {
                 write!(f, "reference to undeclared node at line {l}")
             }
             ParseSpefError::BadValue(l) => {
-                write!(f, "negative or non-finite R/C value at line {l}")
+                write!(
+                    f,
+                    "negative, non-finite or zero-segment R/C value at line {l}"
+                )
             }
             ParseSpefError::UnexpectedEof => write!(f, "unexpected end of file before *END"),
         }
@@ -107,17 +111,16 @@ pub fn write(nets: &[SpefNet]) -> String {
     let mut out = String::from("*SPEF-LITE 1\n");
     for net in nets {
         writeln!(out, "*NET {}", net.name).expect("string write");
-        for id in net.tree.topo_order() {
-            let parent = net.tree.parent(id).map(|p| p.index() as i64).unwrap_or(-1);
-            writeln!(
-                out,
-                "*N {} {} {:e} {:e}",
-                id.index(),
-                parent,
-                net.tree.res(id),
-                net.tree.cap(id)
-            )
-            .expect("string write");
+        let tree = &net.tree;
+        for (i, ((&parent, res), cap)) in tree
+            .parents()
+            .iter()
+            .zip(tree.res())
+            .zip(tree.caps())
+            .enumerate()
+        {
+            let parent = if i == 0 { -1 } else { i64::from(parent) };
+            writeln!(out, "*N {i} {parent} {res:e} {cap:e}").expect("string write");
         }
         for s in net.tree.sinks() {
             writeln!(out, "*S {}", s.index()).expect("string write");
@@ -178,7 +181,9 @@ pub fn parse(text: &str) -> Result<Vec<SpefNet>, ParseSpefError> {
                 if id > node_count {
                     return Err(ParseSpefError::BadTopology(lineno + 1));
                 }
-                if !res.is_finite() || !cap.is_finite() || res < 0.0 || cap < 0.0 {
+                // A non-root segment needs R > 0: the transient divides by it.
+                let res_ok = if id == 0 { res >= 0.0 } else { res > 0.0 };
+                if !res.is_finite() || !cap.is_finite() || !res_ok || cap < 0.0 {
                     return Err(ParseSpefError::BadValue(lineno + 1));
                 }
                 if id == 0 {
@@ -305,6 +310,12 @@ mod tests {
         assert_eq!(parse(nan), Err(ParseSpefError::BadValue(3)));
         let inf = "*SPEF-LITE 1\n*NET x\n*N 0 -1 0 1e-16\n*N 1 0 inf 1e-16\n*END\n";
         assert_eq!(parse(inf), Err(ParseSpefError::BadValue(4)));
+    }
+
+    #[test]
+    fn rejects_zero_resistance_segment() {
+        let zero = "*SPEF-LITE 1\n*NET x\n*N 0 -1 0 1e-16\n*N 1 0 0 1e-16\n*S 1\n*END\n";
+        assert_eq!(parse(zero), Err(ParseSpefError::BadValue(4)));
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Backward-Euler transient simulation of an RC tree behind a resistive
-//! driver — the "SPICE" of the wire experiments (Figs. 7, 8, 10).
+//! driver — the "SPICE" of the wire experiments (Figs. 7, 8, 10) and the
+//! reference the golden scales anchor to.
 //!
 //! The driver is modeled as a saturated-ramp voltage source (slew `S`, swing
 //! `V_dd`) behind a resistance `R_drv` derived from the driving cell's
 //! sampled on-current. Because the tree's conductance matrix is a tree, each
 //! implicit step solves in O(n) with leaf-to-root elimination — no general
-//! sparse solver needed.
+//! sparse solver needed. [`ramp_crossings`] is the solver, over the flat
+//! arrays of the [`RcTree`] layout: [`simulate_ramp`] runs it on a tree,
+//! the golden kernel on its scratch arrays.
 
 use crate::rctree::{NodeId, RcTree};
 
@@ -33,9 +36,26 @@ impl TransientConfig {
     ///
     /// Panics if any of `vdd`, `driver_res` is non-positive.
     pub fn auto(tree: &RcTree, vdd: f64, input_slew: f64, driver_res: f64) -> Self {
+        let (r, c) = (tree.total_res(), tree.total_cap());
+        Self::for_totals(r, c, vdd, input_slew, driver_res)
+    }
+
+    /// [`TransientConfig::auto`] for a tree of total segment resistance
+    /// `total_res` (Ω) and total capacitance `total_cap` (F).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any of `vdd`, `driver_res` is non-positive.
+    pub fn for_totals(
+        total_res: f64,
+        total_cap: f64,
+        vdd: f64,
+        input_slew: f64,
+        driver_res: f64,
+    ) -> Self {
         assert!(vdd > 0.0, "vdd must be positive");
         assert!(driver_res > 0.0, "driver_res must be positive");
-        let tau = (driver_res + tree.total_res()) * tree.total_cap();
+        let tau = (driver_res + total_res) * total_cap;
         let horizon = 12.0 * tau + 2.0 * input_slew + 1e-12;
         Self {
             vdd,
@@ -48,7 +68,8 @@ impl TransientConfig {
 }
 
 /// Result of a transient run: 50 % crossing times (s, absolute from ramp
-/// start) at the root and every sink.
+/// start) at the root and every sink. A sink's wire delay, the quantity
+/// the paper's `T_w` measures, is its crossing minus the root's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransientResult {
     /// Time the source ramp crosses 50 % (= slew/2).
@@ -59,59 +80,52 @@ pub struct TransientResult {
     pub sink_cross: Vec<f64>,
 }
 
-impl TransientResult {
-    /// Wire delay of sink `i`: sink crossing minus root crossing — the
-    /// quantity the paper's `T_w` measures.
-    pub fn wire_delay(&self, i: usize) -> f64 {
-        self.sink_cross[i] - self.root_cross
-    }
+/// [`ramp_crossings`] on `tree`'s arrays and sinks.
+pub fn simulate_ramp(tree: &RcTree, cfg: &TransientConfig) -> TransientResult {
+    ramp_crossings(tree.parents(), tree.res(), tree.caps(), tree.sinks(), cfg)
 }
 
-/// Runs a backward-Euler transient of `tree` driven by a saturated ramp
-/// behind `cfg.driver_res`, returning 50 % crossing times.
+/// The backward-Euler transient of the tree given by `parent`, `res` and
+/// `cap` (the [`RcTree`] layout) driven by a saturated ramp behind
+/// `cfg.driver_res`: the 50 % crossing times of the root and of `sinks`.
 ///
 /// # Panics
 ///
-/// Panics if the tree has a non-root segment with zero resistance, if the
-/// tree has no sinks, or if a sink fails to cross 50 % within `t_max`
-/// (indicating a mis-sized horizon).
-pub fn simulate_ramp(tree: &RcTree, cfg: &TransientConfig) -> TransientResult {
-    let n = tree.len();
-    assert!(!tree.sinks().is_empty(), "tree has no sinks to measure");
+/// Panics if a slice is shorter than `parent`, if a non-root segment
+/// resistance is not positive, if `sinks` is empty, or if a sink fails to
+/// cross 50 % within `t_max` (indicating a mis-sized horizon).
+pub fn ramp_crossings(
+    parent: &[u32],
+    res: &[f64],
+    cap: &[f64],
+    sinks: &[NodeId],
+    cfg: &TransientConfig,
+) -> TransientResult {
+    let n = parent.len();
+    let (res, cap) = (&res[..n], &cap[..n]);
+    assert!(!sinks.is_empty(), "tree has no sinks to measure");
 
     // Edge conductances; g[0] is the driver conductance into the root.
     let mut g = vec![0.0; n];
     g[0] = 1.0 / cfg.driver_res;
-    for id in tree.topo_order().skip(1) {
-        let r = tree.res(id);
-        assert!(r > 0.0, "segment resistance must be positive for transient");
-        g[id.index()] = 1.0 / r;
+    for i in 1..n {
+        assert!(
+            res[i] > 0.0,
+            "segment resistance must be positive for transient"
+        );
+        g[i] = 1.0 / res[i];
     }
 
-    // Assemble constant diagonal of A = G + C/dt and precompute the tree
-    // elimination factors (children have larger indices than parents).
+    // Diagonal of A = G + C/dt: each node's C/dt and edge conductance, then
+    // each child's edge conductance added into its parent; then the
+    // leaf-to-root elimination, constant across steps.
     let dt = cfg.dt;
-    let mut diag = vec![0.0; n];
-    for i in 0..n {
-        let id = NodeId(i);
-        let mut d = tree.cap(id) / dt + g[i];
-        for c in tree.children(id) {
-            d += g[c.index()];
-        }
-        diag[i] = d;
+    let mut a: Vec<f64> = (0..n).map(|i| cap[i] / dt + g[i]).collect();
+    for i in 1..n {
+        a[parent[i] as usize] += g[i];
     }
-    // Eliminated diagonal a' (leaf-to-root), constant across steps.
-    let mut a = diag.clone();
-    let parents: Vec<usize> = (0..n)
-        .map(|i| {
-            tree.parent(NodeId(i))
-                .map(|p| p.index())
-                .unwrap_or(usize::MAX)
-        })
-        .collect();
     for i in (1..n).rev() {
-        let p = parents[i];
-        a[p] -= g[i] * g[i] / a[i];
+        a[parent[i] as usize] -= g[i] * g[i] / a[i];
     }
 
     let half = 0.5 * cfg.vdd;
@@ -125,7 +139,6 @@ pub fn simulate_ramp(tree: &RcTree, cfg: &TransientConfig) -> TransientResult {
         }
     };
 
-    let sinks: Vec<usize> = tree.sinks().iter().map(|s| s.index()).collect();
     let mut v = vec![0.0; n];
     let mut rhs = vec![0.0; n];
     let mut root_cross = f64::NAN;
@@ -140,19 +153,17 @@ pub fn simulate_ramp(tree: &RcTree, cfg: &TransientConfig) -> TransientResult {
         let t_next = t + dt;
         // rhs = C/dt * v_prev (+ source injection at the root).
         for i in 0..n {
-            rhs[i] = tree.cap(NodeId(i)) / dt * v[i];
+            rhs[i] = cap[i] / dt * v[i];
         }
         rhs[0] += g[0] * source(t_next);
         // Forward elimination (leaf to root).
         for i in (1..n).rev() {
-            let p = parents[i];
-            rhs[p] += g[i] / a[i] * rhs[i];
+            rhs[parent[i] as usize] += g[i] / a[i] * rhs[i];
         }
         // Back substitution (root to leaves).
         v[0] = rhs[0] / a[0];
         for i in 1..n {
-            let p = parents[i];
-            v[i] = (rhs[i] + g[i] * v[p]) / a[i];
+            v[i] = (rhs[i] + g[i] * v[parent[i] as usize]) / a[i];
         }
 
         // Crossing detection with linear interpolation inside the step.
@@ -160,13 +171,14 @@ pub fn simulate_ramp(tree: &RcTree, cfg: &TransientConfig) -> TransientResult {
             let frac = (half - prev_v0) / (v[0] - prev_v0);
             root_cross = t + frac * dt;
         }
-        for (k, &s) in sinks.iter().enumerate() {
-            if sink_cross[k].is_nan() && prev_sinks[k] < half && v[s] >= half {
-                let frac = (half - prev_sinks[k]) / (v[s] - prev_sinks[k]);
+        for (k, s) in sinks.iter().enumerate() {
+            let vs = v[s.index()];
+            if sink_cross[k].is_nan() && prev_sinks[k] < half && vs >= half {
+                let frac = (half - prev_sinks[k]) / (vs - prev_sinks[k]);
                 sink_cross[k] = t + frac * dt;
                 crossed += 1;
             }
-            prev_sinks[k] = v[s];
+            prev_sinks[k] = vs;
         }
         prev_v0 = v[0];
         t = t_next;
@@ -193,6 +205,10 @@ mod tests {
     use crate::elmore::moments_all;
     use crate::metrics::{d2m_delay, two_pole_delay};
 
+    fn wire_delay(res: &TransientResult, sink: usize) -> f64 {
+        res.sink_cross[sink] - res.root_cross
+    }
+
     fn single_rc(r: f64, c: f64) -> (RcTree, NodeId) {
         let mut t = RcTree::new(1e-18);
         let s = t.add_node(RcTree::root(), r, c);
@@ -214,7 +230,7 @@ mod tests {
         };
         let res = simulate_ramp(&tree, &cfg);
         let expected = core::f64::consts::LN_2 * 1000.0 * 2e-15;
-        let measured = res.wire_delay(0);
+        let measured = wire_delay(&res, 0);
         assert!(
             (measured - expected).abs() / expected < 0.02,
             "measured {measured} vs {expected}"
@@ -238,9 +254,9 @@ mod tests {
 
         // Fold the driver into the tree for the moment computation.
         let mut with_drv = RcTree::new(1e-21);
-        let mut map_cur = with_drv.add_node(RcTree::root(), rd, tree.cap(RcTree::root()));
-        for id in tree.topo_order().skip(1) {
-            map_cur = with_drv.add_node(map_cur, tree.res(id), tree.cap(id));
+        let mut map_cur = with_drv.add_node(RcTree::root(), rd, tree.caps()[0]);
+        for i in 1..tree.len() {
+            map_cur = with_drv.add_node(map_cur, tree.res()[i], tree.caps()[i]);
         }
         with_drv.mark_sink(map_cur);
         let (m1, m2) = moments_all(&with_drv);
@@ -283,8 +299,11 @@ mod tests {
         t.mark_sink(near);
         t.mark_sink(far);
         let res = simulate_ramp(&t, &TransientConfig::auto(&t, 0.6, 5e-12, 800.0));
-        assert!(res.wire_delay(1) > res.wire_delay(0), "far sink is slower");
-        assert!(res.wire_delay(0) > 0.0);
+        assert!(
+            wire_delay(&res, 1) > wire_delay(&res, 0),
+            "far sink is slower"
+        );
+        assert!(wire_delay(&res, 0) > 0.0);
     }
 
     #[test]

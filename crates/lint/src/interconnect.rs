@@ -10,8 +10,8 @@ use nsigma_netlist::ir::Netlist;
 use std::collections::{HashMap, HashSet};
 
 /// Lints every RC tree attached to a design: finite non-negative values
-/// (RC001), structural soundness (RC002), and sink-set agreement with the
-/// netlist fanout (RC003).
+/// and positive segment resistances (RC001), and sink-set agreement with
+/// the netlist fanout (RC003).
 pub fn lint_parasitics(design: &Design) -> LintReport {
     let mut report = LintReport::new();
     let name = design.netlist.name();
@@ -51,58 +51,20 @@ pub fn lint_parasitics(design: &Design) -> LintReport {
     report
 }
 
-/// Lints a single RC tree: finite non-negative values (RC001) and
-/// structural soundness (RC002). `label` names the tree in locations,
-/// e.g. `"design 'c17' / net 'G10'"`.
-pub fn lint_rc_tree(label: &str, tree: &RcTree) -> LintReport {
-    let mut report = LintReport::new();
-    lint_tree(&mut report, label, tree);
-    report
-}
-
-/// Value and structure checks on one RC tree, reported under `prefix`.
+/// Value checks on one RC tree, reported under `prefix`: RC001 for a value
+/// that is negative or not finite, or a non-root segment resistance that
+/// is not positive (the transient divides by it). The structure needs no
+/// check: `RcTree` only adds a node under an existing parent and only
+/// marks existing nodes as sinks.
 fn lint_tree(report: &mut LintReport, prefix: &str, tree: &RcTree) {
-    for node in tree.topo_order() {
-        let (res, cap) = (tree.res(node), tree.cap(node));
-        if !res.is_finite() || !cap.is_finite() || res < 0.0 || cap < 0.0 {
+    for (i, (&r, &c)) in tree.res().iter().zip(tree.caps()).enumerate() {
+        let r_ok = if i == 0 { r >= 0.0 } else { r > 0.0 };
+        if !r.is_finite() || !c.is_finite() || !r_ok || c < 0.0 {
             report.push(
                 "RC001",
                 Severity::Error,
-                Location::Object(format!("{prefix} / node {}", node.index())),
-                format!("node {} has R={res:e} Ω, C={cap:e} F", node.index()),
-            );
-        }
-        match tree.parent(node) {
-            None if node.index() != 0 => {
-                report.push(
-                    "RC002",
-                    Severity::Error,
-                    Location::Object(format!("{prefix} / node {}", node.index())),
-                    format!("non-root node {} has no parent", node.index()),
-                );
-            }
-            Some(p) if p.index() >= node.index() => {
-                report.push(
-                    "RC002",
-                    Severity::Error,
-                    Location::Object(format!("{prefix} / node {}", node.index())),
-                    format!(
-                        "node {} points at parent {} declared after it",
-                        node.index(),
-                        p.index()
-                    ),
-                );
-            }
-            _ => {}
-        }
-    }
-    for sink in tree.sinks() {
-        if sink.index() >= tree.len() {
-            report.push(
-                "RC002",
-                Severity::Error,
-                Location::Object(format!("{prefix} / sink {}", sink.index())),
-                format!("sink {} is not a node of the tree", sink.index()),
+                Location::Object(format!("{prefix} / node {i}")),
+                format!("node {i} has R={r:e} Ω, C={c:e} F"),
             );
         }
     }
@@ -249,9 +211,20 @@ mod tests {
             .parasitic(net)
             .unwrap()
             .scaled_with(|_, r| r * f64::NAN, |_, c| c);
-        let r = lint_rc_tree("poisoned net", &poisoned);
+        let mut r = LintReport::new();
+        lint_tree(&mut r, "poisoned net", &poisoned);
         assert!(!with_code(&r, "RC001").is_empty(), "{}", r.render_human());
         assert!(r.has_errors());
+    }
+
+    #[test]
+    fn detects_zero_ohm_segment() {
+        let mut tree = RcTree::new(1e-16);
+        let s = tree.add_node(RcTree::root(), 0.0, 1e-16);
+        tree.mark_sink(s);
+        let mut r = LintReport::new();
+        lint_tree(&mut r, "net", &tree);
+        assert_eq!(with_code(&r, "RC001").len(), 1, "{}", r.render_human());
     }
 
     #[test]
@@ -310,6 +283,12 @@ mod tests {
                 column: None,
             }
         );
+
+        // RC001: a zero-ohm non-root segment.
+        let zero = "*SPEF-LITE 1\n*NET x\n*N 0 -1 0 1e-16\n*N 1 0 0 1e-16\n*S 1\n*END\n";
+        let (nets, r) = lint_spef_text("d.spef", zero);
+        assert!(nets.is_none());
+        assert_eq!(r.diagnostics[0].code, "RC001");
 
         // RC002: sink on an undeclared node.
         let orphan = "*SPEF-LITE 1\n*NET x\n*N 0 -1 0 1e-16\n*S 9\n*END\n";

@@ -14,7 +14,7 @@
 //! | NL005 | error | gate pin count disagrees with its library cell |
 //! | NL006 | error | gate references a cell absent from the library |
 //! | NL007 | error | malformed netlist source line |
-//! | RC001 | error | negative or non-finite R/C value |
+//! | RC001 | error | negative or non-finite R/C value, or a zero-ohm segment |
 //! | RC002 | error | disconnected or ill-formed RC-tree topology |
 //! | RC003 | error | SPEF annotation disagrees with the netlist |
 //! | RC004 | error | duplicate SPEF net or node definition |
@@ -35,7 +35,7 @@
 //! assert_eq!(report.error_codes(), vec!["NL001"]);
 //! ```
 
-pub mod coverage;
+mod coverage;
 pub mod diagnostic;
 pub mod interconnect;
 pub mod model;
@@ -43,9 +43,9 @@ pub mod netlist;
 
 pub use coverage::lint_coverage;
 pub use diagnostic::{Diagnostic, LintReport, Location, Severity};
-pub use interconnect::{lint_parasitics, lint_rc_tree, lint_spef_text, lint_spef_vs_netlist};
+pub use interconnect::{lint_parasitics, lint_spef_text, lint_spef_vs_netlist};
 pub use model::lint_model;
-pub use netlist::{lint_bench_text, lint_logic, lint_logic_at, lint_netlist};
+pub use netlist::{lint_bench_text, lint_logic, lint_netlist};
 
 use nsigma_core::sta::NsigmaTimer;
 use nsigma_mc::design::Design;
@@ -140,7 +140,7 @@ pub const CODES: &[CodeInfo] = &[
     CodeInfo {
         code: "RC001",
         severity: Severity::Error,
-        meaning: "negative or non-finite R/C value",
+        meaning: "negative or non-finite R/C value, or a zero-ohm segment",
         typical_fix: "re-extract the parasitics; check unit scaling",
     },
     CodeInfo {

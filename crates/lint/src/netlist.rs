@@ -17,10 +17,7 @@ pub fn lint_logic(circuit: &LogicCircuit) -> LintReport {
 /// Lints a logic circuit; `locate` may map a signal name to a source
 /// location (used when the circuit came from a `.bench` file), falling
 /// back to an object path inside the circuit.
-pub fn lint_logic_at(
-    circuit: &LogicCircuit,
-    locate: impl Fn(&str) -> Option<Location>,
-) -> LintReport {
+fn lint_logic_at(circuit: &LogicCircuit, locate: impl Fn(&str) -> Option<Location>) -> LintReport {
     let mut report = LintReport::new();
     let loc = |sig: &str| {
         locate(sig).unwrap_or_else(|| {
@@ -166,7 +163,7 @@ pub fn lint_logic_at(
 }
 
 /// Lints `.bench` text: parse failures become located diagnostics, and a
-/// successfully parsed circuit goes through [`lint_logic_at`] with
+/// successfully parsed circuit goes through the [`lint_logic`] checks with
 /// file/line locations reconstructed from the source.
 ///
 /// Returns the parsed circuit (when parsing succeeded) alongside the

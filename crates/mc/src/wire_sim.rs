@@ -15,20 +15,21 @@
 //! measured by backward-Euler transient (reference) or by the driver-folded
 //! two-pole model (fast circuit-scale mode).
 //!
-//! **The kernel.** [`WirePlan`] flattens each net once into parent-index,
-//! R and C arrays; [`WirePlan::sample`] then draws one trial's factors into
-//! a reusable [`WireScratch`] and computes the two-pole moments in place,
-//! with the sampled driver resistance folded in as node 0's edge. Every
-//! Monte-Carlo caller goes through it; [`sample_wire`] is a one-net wrapper.
-//! The nominal callers use the same moment pass: [`WirePlan::nominal`]
-//! evaluates the nominal parasitics at the nominal driver resistance, and
-//! [`golden_scales`] and the wire model's `μ_w` mean are built on it.
+//! **The kernel.** [`WirePlan`] copies each net's flat parent/R/C arrays
+//! (the `RcTree` layout) once. [`WirePlan::sample`] draws one trial's
+//! values into a reusable [`WireScratch`] and runs the interconnect crate's
+//! moment pass on them, with the sampled driver resistance as node 0's
+//! edge; transient mode runs its backward-Euler solver on the same scratch
+//! instead. Every Monte-Carlo caller goes through it; [`sample_wire`] is a
+//! one-net wrapper. [`WirePlan::nominal`] runs the moment pass on the
+//! nominal values, and [`golden_scales`] the transient after it.
 
 use crate::result::McResult;
 use nsigma_cells::Cell;
+use nsigma_interconnect::elmore::moments_into;
 use nsigma_interconnect::metrics::two_pole_delay;
-use nsigma_interconnect::rctree::RcTree;
-use nsigma_interconnect::transient::{simulate_ramp, TransientConfig};
+use nsigma_interconnect::rctree::{NodeId, RcTree};
+use nsigma_interconnect::transient::{ramp_crossings, TransientConfig, TransientResult};
 use nsigma_process::{GlobalSample, Technology, VariationModel};
 use nsigma_stats::par;
 use nsigma_stats::rng::SeedStream;
@@ -110,7 +111,7 @@ pub struct WirePlan {
     /// Offsets into the sink arrays, one per slot plus a trailing entry.
     sink_start: Vec<usize>,
     /// Local node index of each sink.
-    sink_node: Vec<u32>,
+    sink_node: Vec<NodeId>,
     /// Nominal input cap of the load pin at each sink (F).
     pin_cap: Vec<f64>,
     /// Golden transient/two-pole scale of each sink.
@@ -199,14 +200,10 @@ impl WirePlan {
     ) -> usize {
         let sinks = tree.sinks();
         assert_eq!(loads.len(), sinks.len(), "one load cell per tree sink");
-        for id in tree.topo_order() {
-            self.parent
-                .push(tree.parent(id).map_or(0, |p| p.index() as u32));
-            self.res.push(tree.res(id));
-            self.cap.push(tree.cap(id));
-        }
-        self.sink_node
-            .extend(sinks.iter().map(|s| s.index() as u32));
+        self.parent.extend_from_slice(tree.parents());
+        self.res.extend_from_slice(tree.res());
+        self.cap.extend_from_slice(tree.caps());
+        self.sink_node.extend_from_slice(sinks);
         self.pin_cap.extend(loads.iter().map(|c| c.input_cap(tech)));
         match scales {
             Some(sc) => {
@@ -223,12 +220,12 @@ impl WirePlan {
 
     /// True if the slot carries a net with at least one sink.
     pub fn is_wired(&self, slot: usize) -> bool {
-        self.sink_start[slot + 1] > self.sink_start[slot]
+        !self.sinks(slot).is_empty()
     }
 
     /// Golden per-sink scales of a slot, in sink order.
     pub fn scales(&self, slot: usize) -> &[f64] {
-        &self.scale[self.sink_start[slot]..self.sink_start[slot + 1]]
+        &self.scale[self.sinks(slot)]
     }
 
     /// A scratch sized for the largest net in the plan.
@@ -351,11 +348,18 @@ impl WirePlan {
         let tau = rd * totals.c_eff;
         match mode {
             WireGoldenMode::TwoPole => {
-                let sinks = self.sink_start[slot + 1] - self.sink_start[slot];
-                let lumped = core::f64::consts::LN_2 * tau;
-                self.two_pole(slot, rd, lumped, scratch, 0..sinks);
+                let sinks = 0..self.sinks(slot).len();
+                self.two_pole(slot, rd, core::f64::consts::LN_2 * tau, scratch, sinks);
             }
-            WireGoldenMode::Transient => self.transient(slot, tech, rd, tau, input_slew, scratch),
+            WireGoldenMode::Transient => {
+                // Ramp-driven: sink 50 % crossing minus the lumped-load 50 %
+                // crossing under the same ramp.
+                let lumped = lumped_t50_ramp(tau, input_slew);
+                let res = self.ramp(slot, scratch, tech, input_slew, rd, None);
+                for (d, &c) in scratch.delays.iter_mut().zip(&res.sink_cross) {
+                    *d = c - lumped;
+                }
+            }
         }
         totals
     }
@@ -374,10 +378,9 @@ impl WirePlan {
         rng: &mut R,
         scratch: &mut WireScratch,
     ) -> (f64, NetSample) {
-        let (n0, n1) = (self.node_start[slot], self.node_start[slot + 1]);
-        let (s0, s1) = (self.sink_start[slot], self.sink_start[slot + 1]);
-        let n = n1 - n0;
-        scratch.fit(n, s1 - s0);
+        let nodes = self.nodes(slot);
+        let n = nodes.len();
+        scratch.fit(n, self.sinks(slot).len());
 
         // Driver resistance from the sampled on-current.
         let stack = driver.worst_stack();
@@ -385,17 +388,16 @@ impl WirePlan {
         let rd = tech.vdd / (2.0 * i_on);
 
         // Sampled parasitics: global corner × per-segment local jitter.
-        let res = &mut scratch.res[..n];
-        for (r, &nominal) in res.iter_mut().zip(&self.res[n0..n1]) {
+        for (r, &nominal) in scratch.res[..n].iter_mut().zip(&self.res[nodes.clone()]) {
             *r = nominal * (global.wire_res_scale * variation.sample_wire_local(rng));
         }
         let cap = &mut scratch.cap[..n];
-        for (c, &nominal) in cap.iter_mut().zip(&self.cap[n0..n1]) {
+        for (c, &nominal) in cap.iter_mut().zip(&self.cap[nodes]) {
             *c = nominal * (global.wire_cap_scale * variation.sample_wire_local(rng));
         }
         // Sampled load pin caps at the sinks.
-        for (&node, &pin) in self.sink_node[s0..s1].iter().zip(&self.pin_cap[s0..s1]) {
-            cap[node as usize] += pin * variation.sample_wire_local(rng);
+        for (node, pin) in self.pins(slot) {
+            cap[node] += pin * variation.sample_wire_local(rng);
         }
         (rd, self.totals(slot, scratch))
     }
@@ -411,25 +413,24 @@ impl WirePlan {
     ///
     /// Panics on a slot from [`WirePlan::push_unwired`].
     pub fn nominal(&self, slot: usize, scratch: &mut WireScratch) -> NetSample {
-        let (n0, n1) = (self.node_start[slot], self.node_start[slot + 1]);
-        let (s0, s1) = (self.sink_start[slot], self.sink_start[slot + 1]);
-        let n = n1 - n0;
-        scratch.fit(n, s1 - s0);
-        scratch.res[..n].copy_from_slice(&self.res[n0..n1]);
-        let cap = &mut scratch.cap[..n];
-        cap.copy_from_slice(&self.cap[n0..n1]);
-        for (&node, &pin) in self.sink_node[s0..s1].iter().zip(&self.pin_cap[s0..s1]) {
-            cap[node as usize] += pin;
+        let nodes = self.nodes(slot);
+        let n = nodes.len();
+        scratch.fit(n, self.sinks(slot).len());
+        scratch.res[..n].copy_from_slice(&self.res[nodes.clone()]);
+        scratch.cap[..n].copy_from_slice(&self.cap[nodes]);
+        for (node, pin) in self.pins(slot) {
+            scratch.cap[node] += pin;
         }
         let totals = self.totals(slot, scratch);
-        self.two_pole(slot, self.rd_nom[slot], 0.0, scratch, 0..s1 - s0);
+        let sinks = 0..self.sinks(slot).len();
+        self.two_pole(slot, self.rd_nom[slot], 0.0, scratch, sinks);
         totals
     }
 
     /// Total capacitance of the slot's values in `scratch` and the
     /// effective load at the driver's nominal resistance.
     fn totals(&self, slot: usize, scratch: &WireScratch) -> NetSample {
-        let n = self.node_start[slot + 1] - self.node_start[slot];
+        let n = self.nodes(slot).len();
         let total_cap: f64 = scratch.cap[..n].iter().sum();
         let total_res: f64 = scratch.res[..n].iter().sum();
         let c_eff = shielded_cap(total_cap, total_res, self.rd_nom[slot]);
@@ -438,11 +439,8 @@ impl WirePlan {
 
     /// Step-response source→sink two-pole delay minus the baseline `lumped`
     /// at the sinks in `sinks` (positions in sink order), from the R/C
-    /// values in `scratch`.
-    ///
-    /// The moments are those of the tree with `rd` folded in as node 0's
-    /// edge from an ideal source: `m1(i) = m1(parent) + R_i · C_down(i)`
-    /// and the same recursion for m2 with node weights `C_k · m1(k)`.
+    /// values in `scratch` and the moments of the tree with `rd` folded in
+    /// as node 0's edge.
     fn two_pole(
         &self,
         slot: usize,
@@ -451,77 +449,61 @@ impl WirePlan {
         scratch: &mut WireScratch,
         sinks: Range<usize>,
     ) {
-        let (n0, n1) = (self.node_start[slot], self.node_start[slot + 1]);
-        let sink_node =
-            &self.sink_node[self.sink_start[slot]..self.sink_start[slot + 1]][sinks.clone()];
-        let n = n1 - n0;
-        let parent = &self.parent[n0..n1];
-        let res = &scratch.res[..n];
-        let cap = &scratch.cap[..n];
-        let down = &mut scratch.down[..n];
-        let m1 = &mut scratch.m1[..n];
-        let m2 = &mut scratch.m2[..n];
-
-        // m1: downstream caps leaves-first, then root-to-leaf accumulation.
-        down.copy_from_slice(cap);
-        for i in (1..n).rev() {
-            down[parent[i] as usize] += down[i];
-        }
-        m1[0] = rd * down[0];
-        for i in 1..n {
-            m1[i] = m1[parent[i] as usize] + res[i] * down[i];
-        }
-        // m2: the same two passes with node weights C_k · m1(k).
-        for i in 0..n {
-            down[i] = cap[i] * m1[i];
-        }
-        for i in (1..n).rev() {
-            down[parent[i] as usize] += down[i];
-        }
-        m2[0] = rd * down[0];
-        for i in 1..n {
-            m2[i] = m2[parent[i] as usize] + res[i] * down[i];
-        }
-
-        for (d, &node) in scratch.delays[sinks].iter_mut().zip(sink_node) {
-            let k = node as usize;
+        let WireScratch {
+            res,
+            cap,
+            down,
+            m1,
+            m2,
+            delays,
+        } = scratch;
+        moments_into(&self.parent[self.nodes(slot)], res, cap, rd, down, m1, m2);
+        let sink_node = &self.sink_node[self.sinks(slot)][sinks.clone()];
+        for (d, node) in delays[sinks].iter_mut().zip(sink_node) {
+            let k = node.index();
             *d = two_pole_delay(m1[k].max(1e-18), m2[k].max(1e-33)) - lumped;
         }
     }
 
-    /// Transient-mode delays: rebuilds the sampled tree from `scratch` and
-    /// runs the ramp-driven backward-Euler reference, driven through `rd`,
-    /// minus the lumped ramp crossing of time constant `tau`.
-    fn transient(
+    /// The ramp-driven backward-Euler transient of the slot's R/C values in
+    /// `scratch`, driven through `rd`, on the step of
+    /// [`TransientConfig::auto`] or, given `steps`, that many steps over
+    /// its horizon.
+    fn ramp(
         &self,
         slot: usize,
+        scratch: &WireScratch,
         tech: &Technology,
-        rd: f64,
-        tau: f64,
         input_slew: f64,
-        scratch: &mut WireScratch,
-    ) {
-        let (n0, n1) = (self.node_start[slot], self.node_start[slot + 1]);
-        let (s0, s1) = (self.sink_start[slot], self.sink_start[slot + 1]);
-        let n = n1 - n0;
-        let mut sampled = RcTree::new(scratch.cap[0]);
-        let mut ids = Vec::with_capacity(n);
-        ids.push(RcTree::root());
-        for i in 1..n {
-            let parent = ids[self.parent[n0 + i] as usize];
-            ids.push(sampled.add_node(parent, scratch.res[i], scratch.cap[i]));
+        rd: f64,
+        steps: Option<f64>,
+    ) -> TransientResult {
+        let nodes = self.nodes(slot);
+        let (res, cap) = (&scratch.res[..nodes.len()], &scratch.cap[..nodes.len()]);
+        let (total_res, total_cap) = (res.iter().sum(), cap.iter().sum());
+        let mut cfg = TransientConfig::for_totals(total_res, total_cap, tech.vdd, input_slew, rd);
+        if let Some(steps) = steps {
+            cfg.dt = (cfg.t_max / steps).max(1e-16);
         }
-        for &node in &self.sink_node[s0..s1] {
-            sampled.mark_sink(ids[node as usize]);
-        }
-        // Ramp-driven: sink 50 % crossing minus the lumped-load 50 %
-        // crossing under the same ramp.
-        let lumped = lumped_t50_ramp(tau, input_slew);
-        let cfg = TransientConfig::auto(&sampled, tech.vdd, input_slew, rd);
-        let res = simulate_ramp(&sampled, &cfg);
-        for (d, &c) in scratch.delays.iter_mut().zip(&res.sink_cross) {
-            *d = c - lumped;
-        }
+        let sinks = &self.sink_node[self.sinks(slot)];
+        ramp_crossings(&self.parent[nodes], res, cap, sinks, &cfg)
+    }
+
+    /// The slot's range in the node arrays.
+    fn nodes(&self, slot: usize) -> Range<usize> {
+        self.node_start[slot]..self.node_start[slot + 1]
+    }
+
+    /// The slot's range in the sink arrays.
+    fn sinks(&self, slot: usize) -> Range<usize> {
+        self.sink_start[slot]..self.sink_start[slot + 1]
+    }
+
+    /// Each sink's node index and nominal load-pin cap, in sink order.
+    fn pins(&self, slot: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let sinks = self.sinks(slot);
+        let nodes = self.sink_node[sinks.clone()].iter().map(|s| s.index());
+        nodes.zip(self.pin_cap[sinks].iter().copied())
     }
 }
 
@@ -640,13 +622,7 @@ pub fn golden_scales(tech: &Technology, tree: &RcTree, driver: &Cell, loads: &[&
     let totals = plan.nominal(slot, &mut scratch);
     let rd = plan.rd_nom[slot];
     let tau = rd * totals.c_eff;
-    let mut loaded = tree.clone();
-    for (k, &sink) in tree.sinks().iter().enumerate() {
-        loaded.add_cap(sink, loads[k].input_cap(tech));
-    }
-    let mut cfg = TransientConfig::auto(&loaded, tech.vdd, NOMINAL_SLEW, rd);
-    cfg.dt = (cfg.t_max / NOMINAL_STEPS).max(1e-16);
-    let reference = simulate_ramp(&loaded, &cfg);
+    let reference = plan.ramp(slot, &scratch, tech, NOMINAL_SLEW, rd, Some(NOMINAL_STEPS));
     let cell_ramp = lumped_t50_ramp(tau, NOMINAL_SLEW);
     let cell_step = core::f64::consts::LN_2 * tau;
     scratch
@@ -745,7 +721,7 @@ mod tests {
     use nsigma_cells::cell::CellKind;
     use nsigma_interconnect::elmore::{elmore_delay, moments_all};
     use nsigma_interconnect::generator::{generate_net, random_net, NetGenConfig};
-    use nsigma_interconnect::rctree::NodeId;
+    use nsigma_interconnect::transient::simulate_ramp;
     use proptest::prelude::*;
 
     /// Folds a driver resistance into a tree: returns the extended tree, the
@@ -754,20 +730,49 @@ mod tests {
         let mut out = RcTree::new(1e-21);
         let mut map = Vec::with_capacity(tree.len());
         // Old root hangs off the new source through the driver resistance.
-        let root_img = out.add_node(RcTree::root(), driver_res, tree.cap(RcTree::root()));
+        let root_img = out.add_node(RcTree::root(), driver_res, tree.caps()[0]);
         map.push(root_img);
-        for id in tree.topo_order().skip(1) {
-            let parent_img = map[tree.parent(id).expect("non-root").index()];
-            let img = out.add_node(parent_img, tree.res(id), tree.cap(id));
-            map.push(img);
+        for i in 1..tree.len() {
+            let parent_img = map[tree.parents()[i] as usize];
+            map.push(out.add_node(parent_img, tree.res()[i], tree.caps()[i]));
         }
         let sinks = tree.sinks().iter().map(|s| map[s.index()]).collect();
         (out, root_img, sinks)
     }
 
+    /// The closure-based two-pass accumulation the flat moment pass
+    /// replaced, kept as an oracle independent of `moments_into`: for node
+    /// weights `w(k)`, `f(i) = Σ_k R_common(root→i, root→k) · w(k)`.
+    fn oracle_weighted_moment(tree: &RcTree, weight: impl Fn(usize) -> f64) -> Vec<f64> {
+        let n = tree.len();
+        let parent = |i: usize| tree.parents()[i] as usize;
+        let mut down: Vec<f64> = (0..n).map(weight).collect();
+        for id in (1..n).rev() {
+            down[parent(id)] += down[id];
+        }
+        let mut acc = vec![0.0; n];
+        for id in 1..n {
+            acc[id] = acc[parent(id)] + tree.res()[id] * down[id];
+        }
+        acc
+    }
+
+    /// `(m1, m2)` at every node from [`oracle_weighted_moment`].
+    fn oracle_moments(tree: &RcTree) -> (Vec<f64>, Vec<f64>) {
+        let caps = tree.caps();
+        let m1 = oracle_weighted_moment(tree, |k| caps[k]);
+        let m2 = oracle_weighted_moment(tree, |k| caps[k] * m1[k]);
+        (m1, m2)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     /// The tree-based evaluation the flat kernel replaced: clone-and-scale
-    /// the tree, fold the driver in as a new root edge, and take the moments
-    /// of the folded tree. Kept as the bit-for-bit oracle of [`WirePlan`].
+    /// the tree, fold the driver in as a new root edge, and take the oracle
+    /// moments of the folded tree (or run the transient on the sampled
+    /// tree). Kept as the bit-for-bit oracle of [`WirePlan`].
     #[allow(clippy::too_many_arguments)]
     fn oracle_sample_wire<R: Rng + ?Sized>(
         tech: &Technology,
@@ -811,7 +816,7 @@ mod tests {
             WireGoldenMode::TwoPole => {
                 let lumped = core::f64::consts::LN_2 * tau;
                 let (folded, _root_img, sink_imgs) = fold_driver(&sampled, rd);
-                let (m1, m2) = moments_all(&folded);
+                let (m1, m2) = oracle_moments(&folded);
                 sink_imgs
                     .iter()
                     .map(|s| {
@@ -828,11 +833,7 @@ mod tests {
     }
 
     fn sample_bits(s: &WireSample) -> (Vec<u64>, u64, u64) {
-        (
-            s.delays.iter().map(|d| d.to_bits()).collect(),
-            s.total_cap.to_bits(),
-            s.c_eff.to_bits(),
-        )
+        (bits(&s.delays), s.total_cap.to_bits(), s.c_eff.to_bits())
     }
 
     /// Runs the kernel and the oracle on the same draws and asserts equal
@@ -912,7 +913,7 @@ mod tests {
             let total_cap = loaded.total_cap();
             let c_eff = effective_cap(&tech, &driver, &loaded, total_cap);
             let (folded, _root_img, sink_imgs) = fold_driver(&loaded, rd);
-            let (m1, m2) = moments_all(&folded);
+            let (m1, m2) = oracle_moments(&folded);
             let totals = plan.nominal(0, &mut scratch);
             assert_eq!(
                 (totals.total_cap.to_bits(), totals.c_eff.to_bits()),
@@ -938,14 +939,17 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The flat two-pole kernel is bit-identical to the tree-based
-        /// oracle on generated nets with 1–8 sinks.
+        /// oracle on generated nets with 1–8 sinks, and so is the driverless
+        /// moment pass behind `moments_all`.
         #[test]
         fn flat_kernel_matches_tree_oracle(sinks in 1usize..=8, seed in 0u64..1 << 20) {
             let mut rng = SmallRng::seed_from_u64(seed);
             let cfg = NetGenConfig::default_28nm().with_fanout(sinks);
-            assert_kernel_matches_oracle(&generate_net(&mut rng, &cfg), seed, WireGoldenMode::TwoPole);
-            let random = random_net(&mut rng, sinks);
-            assert_kernel_matches_oracle(&random, seed, WireGoldenMode::TwoPole);
+            for tree in [generate_net(&mut rng, &cfg), random_net(&mut rng, sinks)] {
+                assert_kernel_matches_oracle(&tree, seed, WireGoldenMode::TwoPole);
+                let ((m1, m2), (o1, o2)) = (moments_all(&tree), oracle_moments(&tree));
+                prop_assert_eq!((bits(&m1), bits(&m2)), (bits(&o1), bits(&o2)));
+            }
         }
     }
 
@@ -1132,7 +1136,7 @@ mod tests {
         let tree = test_tree();
         let (folded, root_img, sinks) = fold_driver(&tree, 1234.0);
         assert_eq!(folded.len(), tree.len() + 1);
-        assert_eq!(folded.res(root_img), 1234.0);
+        assert_eq!(folded.res()[root_img.index()], 1234.0);
         assert_eq!(sinks.len(), 1);
         assert!((folded.total_cap() - tree.total_cap() - 1e-21).abs() < 1e-22);
     }

@@ -188,11 +188,6 @@ pub fn longest_path_by_with_order(
     Some(Path { gates, nets })
 }
 
-/// The structural longest path by gate count.
-pub fn longest_path(netlist: &Netlist) -> Option<Path> {
-    longest_path_by(netlist, |_| 1.0)
-}
-
 /// The `k` heaviest PI→PO paths under an additive per-gate weight — the
 /// "report the N worst paths" primitive every sign-off timer provides.
 ///
@@ -493,7 +488,7 @@ mod tests {
         let (g_join, y) = nl.add_gate("join", nand, &[f, s2]);
         nl.mark_output(y);
 
-        let p = longest_path(&nl).unwrap();
+        let p = longest_path_by(&nl, |_| 1.0).unwrap();
         assert_eq!(p.gates.last().copied(), Some(g_join));
         assert!(p.gates.contains(&g_slow2));
         assert!(!p.gates.contains(&g_fast));
@@ -539,8 +534,8 @@ mod tests {
         assert_eq!(paths.len(), 2, "only two distinct PI→PO routes exist");
         assert_eq!(paths[0].len(), 4); // deep branch + join
         assert_eq!(paths[1].len(), 2); // shallow branch + join
-                                       // Heaviest first, and the first equals longest_path.
-        let single = longest_path(&nl).unwrap();
+                                       // Heaviest first, and the first is the longest path.
+        let single = longest_path_by(&nl, |_| 1.0).unwrap();
         assert_eq!(paths[0], single);
     }
 
@@ -565,7 +560,7 @@ mod tests {
     #[test]
     fn empty_netlist_has_no_path() {
         let nl = Netlist::new("empty");
-        assert!(longest_path(&nl).is_none());
+        assert!(longest_path_by(&nl, |_| 1.0).is_none());
         assert_eq!(depth(&nl), 0);
     }
 }

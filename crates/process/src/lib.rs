@@ -8,7 +8,7 @@
 //!
 //! * [`Technology`] — a synthetic technology with near-threshold device
 //!   parameters, Pelgrom mismatch and BEOL wire constants;
-//! * [`drain_current`] / [`Stack`] — an EKV-style current model whose
+//! * [`Stack`] — a transistor stack on an EKV-style current model whose
 //!   exponential sensitivity to a Gaussian V_th yields the right-skewed,
 //!   heavy-tailed delay distributions the paper's Fig. 2 shows;
 //! * [`VariationModel`] / [`GlobalSample`] — global-corner plus local
@@ -38,9 +38,9 @@
 #![warn(missing_docs)]
 
 pub mod technology;
-pub mod transistor;
+mod transistor;
 pub mod variation;
 
 pub use technology::Technology;
-pub use transistor::{drain_current, Stack};
+pub use transistor::Stack;
 pub use variation::{GlobalSample, VariationModel};

@@ -23,18 +23,7 @@ use crate::technology::Technology;
 /// # Panics
 ///
 /// Panics if `width_multiple` is not positive.
-///
-/// # Examples
-///
-/// ```
-/// use nsigma_process::{drain_current, Technology};
-///
-/// let t = Technology::synthetic_28nm();
-/// let i1 = drain_current(&t, t.vdd, t.vth0, 1.0);
-/// let i4 = drain_current(&t, t.vdd, t.vth0, 4.0);
-/// assert!((i4 / i1 - 4.0).abs() < 1e-9); // current scales with width
-/// ```
-pub fn drain_current(tech: &Technology, vgs: f64, vth: f64, width_multiple: f64) -> f64 {
+fn drain_current(tech: &Technology, vgs: f64, vth: f64, width_multiple: f64) -> f64 {
     assert!(width_multiple > 0.0, "width multiple must be positive");
     let nvt2 = 2.0 * tech.slope_factor * tech.thermal_voltage();
     let x = (vgs - vth) / nvt2;
@@ -112,6 +101,14 @@ impl Stack {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn current_scales_with_width() {
+        let t = Technology::synthetic_28nm();
+        let i1 = drain_current(&t, t.vdd, t.vth0, 1.0);
+        let i4 = drain_current(&t, t.vdd, t.vth0, 4.0);
+        assert!((i4 / i1 - 4.0).abs() < 1e-9);
+    }
 
     #[test]
     fn current_is_monotone_in_gate_drive() {

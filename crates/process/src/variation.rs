@@ -129,12 +129,6 @@ impl VariationModel {
         )
     }
 
-    /// Global threshold-voltage sigma (V) — the scale of the parameter the
-    /// importance sampler shifts.
-    pub fn global_vth_sigma(&self) -> f64 {
-        self.global_vth_sigma
-    }
-
     /// Draws a local V_th mismatch deviate with the given sigma (V).
     pub fn sample_local_vth<R: Rng + ?Sized>(&self, rng: &mut R, sigma: f64) -> f64 {
         self.local_scale * sigma * standard_normal(rng)
@@ -143,11 +137,6 @@ impl VariationModel {
     /// Draws a local multiplicative wire R or C factor (log-normal, mean 1).
     pub fn sample_wire_local<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         lognormal_factor(rng, self.wire_local_sigma)
-    }
-
-    /// Local wire sigma accessor (relative).
-    pub fn wire_local_sigma(&self) -> f64 {
-        self.wire_local_sigma
     }
 }
 

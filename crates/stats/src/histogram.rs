@@ -12,7 +12,7 @@
 ///     h.push(x);
 /// }
 /// assert_eq!(h.count(), 5);
-/// assert_eq!(h.overflow(), 1);
+/// assert_eq!(h.underflow(), 0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
@@ -82,11 +82,6 @@ impl Histogram {
         self.underflow
     }
 
-    /// Observations at or above the range end.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
     /// Raw bin counts.
     pub fn bins(&self) -> &[u64] {
         &self.bins
@@ -98,18 +93,6 @@ impl Histogram {
         (0..self.bins.len())
             .map(|i| self.lo + (i as f64 + 0.5) * w)
             .collect()
-    }
-
-    /// Bin width.
-    fn bin_width(&self) -> f64 {
-        (self.hi - self.lo) / self.bins.len() as f64
-    }
-
-    /// Normalized density per bin (integrates to ~1 over the range).
-    pub fn density(&self) -> Vec<f64> {
-        let n = self.count().max(1) as f64;
-        let w = self.bin_width();
-        self.bins.iter().map(|&c| c as f64 / (n * w)).collect()
     }
 
     /// Renders a compact ASCII bar chart, one bin per line, for the figure
@@ -138,7 +121,7 @@ mod tests {
         }
         assert!(h.bins().iter().all(|&c| c == 1));
         assert_eq!(h.underflow(), 0);
-        assert_eq!(h.overflow(), 0);
+        assert_eq!(h.overflow, 0);
     }
 
     #[test]
@@ -148,16 +131,8 @@ mod tests {
         h.push(2.0);
         h.push(0.5);
         assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
+        assert_eq!(h.overflow, 1);
         assert_eq!(h.count(), 3);
-    }
-
-    #[test]
-    fn density_integrates_to_one() {
-        let samples: Vec<f64> = (0..1000).map(|i| (i % 97) as f64 * 0.1).collect();
-        let h = Histogram::from_samples(&samples, 20);
-        let integral: f64 = h.density().iter().sum::<f64>() * h.bin_width();
-        assert!((integral - 1.0).abs() < 1e-9, "integral={integral}");
     }
 
     #[test]
@@ -165,7 +140,7 @@ mod tests {
         let samples = [3.0, 4.0, 5.0, 6.0];
         let h = Histogram::from_samples(&samples, 4);
         assert_eq!(h.count(), 4);
-        assert_eq!(h.underflow() + h.overflow(), 0);
+        assert_eq!(h.underflow() + h.overflow, 0);
     }
 
     #[test]

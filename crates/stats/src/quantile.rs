@@ -166,11 +166,6 @@ impl QuantileSet {
     pub fn add(&self, other: &QuantileSet) -> QuantileSet {
         QuantileSet::from_fn(|lvl| self[lvl] + other[lvl])
     }
-
-    /// Half-width `(+3σ − −3σ)/2`, a robust spread proxy.
-    pub fn spread(&self) -> f64 {
-        0.5 * (self[SigmaLevel::PlusThree] - self[SigmaLevel::MinusThree])
-    }
 }
 
 impl std::ops::Index<SigmaLevel> for QuantileSet {
@@ -294,12 +289,6 @@ mod tests {
         let c = a.add(&b);
         assert_eq!(c[SigmaLevel::Zero], 1.0);
         assert_eq!(c[SigmaLevel::PlusThree], 4.0);
-    }
-
-    #[test]
-    fn spread_of_symmetric_set() {
-        let a = QuantileSet::from_fn(|l| 10.0 + l.n() as f64 * 2.0);
-        assert!((a.spread() - 6.0).abs() < 1e-12);
     }
 
     #[test]

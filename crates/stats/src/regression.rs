@@ -103,7 +103,7 @@ pub fn ols(x: &Matrix, y: &[f64]) -> Result<LinearFit, FitError> {
 /// # Errors
 ///
 /// See [`ols`].
-pub fn ridge(x: &Matrix, y: &[f64], lambda: f64) -> Result<LinearFit, FitError> {
+fn ridge(x: &Matrix, y: &[f64], lambda: f64) -> Result<LinearFit, FitError> {
     let rows = x.rows();
     let cols = x.cols();
     if rows < cols || rows == 0 {

@@ -96,11 +96,14 @@ fn exp_neg_sq(y: f64) -> f64 {
 ///
 /// # Examples
 ///
+/// `erf` is private; the public `norm_cdf` exposes it as
+/// `erf(x) = 2·Φ(x·√2) − 1`.
+///
 /// ```
-/// let e = nsigma_stats::special::erf(1.0);
+/// let e = 2.0 * nsigma_stats::special::norm_cdf(std::f64::consts::SQRT_2) - 1.0;
 /// assert!((e - 0.8427007929497149).abs() < 1e-14);
 /// ```
-pub fn erf(x: f64) -> f64 {
+fn erf(x: f64) -> f64 {
     let y = x.abs();
     if y <= 0.46875 {
         let z = if y > 1.11e-16 { y * y } else { 0.0 };
@@ -355,6 +358,7 @@ mod tests {
     fn erf_known_values() {
         assert!((erf(0.0)).abs() < 1e-12);
         assert!((erf(1.0) - 0.842_700_79).abs() < 2e-7);
+        assert!((erf(1.0) - 0.842_700_792_949_714_9).abs() < 1e-14);
         assert!((erf(2.0) - 0.995_322_27).abs() < 2e-7);
         assert!((erf(-1.0) + 0.842_700_79).abs() < 2e-7);
     }

@@ -47,11 +47,6 @@ impl YieldRun {
         &self.delays
     }
 
-    /// Per-trial importance weights (all 1 for plain MC), in trial order.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
     /// The empirical yield estimate at an arbitrary deadline, from the
     /// stored samples.
     pub fn yield_at(&self, period: f64) -> YieldEstimate {
@@ -322,7 +317,7 @@ mod tests {
             })
             .expect("run b");
         assert_eq!(a.delays(), b.delays());
-        assert_eq!(a.weights(), b.weights());
+        assert_eq!(a.weights, b.weights);
         assert_eq!(
             a.report.mc_quantiles.as_array(),
             b.report.mc_quantiles.as_array()

@@ -44,13 +44,20 @@ if [ -n "$unused_deps" ]; then
 fi
 
 # Every `pub fn` and `pub mod` in crates/*/src outside #[cfg(test)] (the
-# same awk rule as the unwrap gate below) must be named as a word in some
-# other .rs file under crates/, tests/, examples/ or perfbench/src/; the
-# file a `pub mod` declares does not count. Use inside one file is left to
-# rustc: a helper only its own file calls is private, and clippy's
-# dead_code fails it once nothing calls it. An allow-list entry reads
-# "<file>: <name> <reason>"; one without a reason fails the gate.
-pub_allow=()
+# same awk rule as the unwrap gate below) must be named in some other .rs
+# file under crates/, tests/, examples/ or perfbench/src/; the file a
+# `pub mod` declares does not count. A `pub fn` indented under an `impl`
+# counts only as a call or path, `.name(` or `::name`; a free `pub fn` or
+# a `pub mod` counts as a word. Comment lines never count, nor does the
+# defining crate's own `pub use` re-export in its lib.rs. The limit: a
+# common name such as `new`, `len` or `get` still matches any other type's
+# method, so a dead method with such a name goes unseen. Use inside one
+# file is left to rustc: a helper only its own file calls is private, and
+# clippy's dead_code fails it once nothing calls it. An allow-list entry
+# reads "<file>: <name> <reason>"; one without a reason fails the gate.
+pub_allow=(
+  "crates/core/src/sta.rs: tech no caller; without it the timer's tech field is dead, and dropping the field leaves read_coefficients' tech parameter unused, a signature perfbench names until the next benchmark change"
+)
 for entry in ${pub_allow[@]+"${pub_allow[@]}"}; do
   read -r _ _ reason <<< "$entry"
   if [ -z "$reason" ]; then
@@ -58,24 +65,40 @@ for entry in ${pub_allow[@]+"${pub_allow[@]}"}; do
     exit 1
   fi
 done
+# One line per source line that can name an item: "<file> TAB <tag> TAB
+# <text>", comment lines dropped, `pub use` statements of a lib.rs tagged.
+pub_corpus=$(mktemp)
+for f in $(find crates tests examples perfbench/src -name '*.rs' | sort); do
+  awk -v f="$f" '/^[[:space:]]*\/\// { next }
+    f ~ /\/src\/lib\.rs$/ && /^[[:space:]]*pub use / { reexport = 1 }
+    { print f "\t" (reexport ? "reexport" : "code") "\t" $0 }
+    reexport && /;/ { reexport = 0 }' "$f"
+done > "$pub_corpus"
+tab=$'\t'
 unused_pub=$(for f in $(find crates/*/src -name '*.rs' | sort); do
   case "$f" in
     */lib.rs | */main.rs | */mod.rs) mod_dir=$(dirname "$f") ;;
     *) mod_dir=${f%.rs} ;;
   esac
+  crate_lib="${f%%/src/*}/src/lib.rs"
   awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" |
-    sed -nE 's/^[[:space:]]*pub (fn|mod) ([A-Za-z_][A-Za-z0-9_]*).*/\1 \2/p' | sort -u |
+    sed -nE -e 's/^pub (fn|mod) ([A-Za-z_][A-Za-z0-9_]*).*/\1 \2/p' \
+      -e 's/^[[:space:]]+pub fn ([A-Za-z_][A-Za-z0-9_]*).*/method \1/p' \
+      -e 's/^[[:space:]]+pub mod ([A-Za-z_][A-Za-z0-9_]*).*/mod \1/p' | sort -u |
     while read -r kind name; do
       own=("$f")
       if [ "$kind" = mod ]; then own+=("$mod_dir/$name.rs" "$mod_dir/$name/mod.rs"); fi
       for entry in ${pub_allow[@]+"${pub_allow[@]}"}; do
         case "$entry" in "$f: $name "*) continue 2 ;; esac
       done
-      users=$(grep -rlw --include='*.rs' "$name" crates tests examples perfbench/src |
+      if [ "$kind" = method ]; then use="(\\.$name\\(|::$name\\b)"; else use="\\b$name\\b"; fi
+      users=$(grep -E "^[^$tab]*$tab[^$tab]*$tab.*$use" "$pub_corpus" |
+        grep -vF "$crate_lib${tab}reexport$tab" | cut -f1 |
         grep -vxFf <(printf '%s\n' "${own[@]}") || true)
-      if [ -z "$users" ]; then echo "$f: pub $kind $name"; fi
+      if [ -z "$users" ]; then echo "$f: pub ${kind/method/fn} $name"; fi
     done
 done)
+rm -f "$pub_corpus"
 if [ -n "$unused_pub" ]; then
   echo "ci: pub items no other file names (delete them, or make them private):" >&2
   echo "$unused_pub" >&2
@@ -103,13 +126,15 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 # in the server, CLI and yield-engine sources, in the session engine
 # behind every request (typed QueryError + poison-tolerant locks replaced
 # them; see DESIGN.md §8–9), in the golden Monte-Carlo kernel that
-# yield_design runs (trial walk, wire kernel, path walk, two-pole crossing),
-# in the design's golden-scale recompute that eco_resize reaches, in the
+# yield_design runs (trial walk, wire kernel, path walk, two-pole crossing,
+# the RC tree and its moment pass), in the design's golden-scale recompute
+# that eco_resize reaches (and the transient it runs), in the
 # nominal wire means compile reads, in the coefficients-file parser, nor in
 # the one parallel fan-out and the characterization that runs on it.
 unwrap_hits=$(for f in crates/server/src/*.rs crates/cli/src/*.rs crates/yield/src/*.rs \
     crates/core/src/{session,compiled,sdf,wire_model,coeff_store}.rs \
-    crates/mc/src/{trial,wire_sim,path_sim,design}.rs crates/interconnect/src/metrics.rs \
+    crates/mc/src/{trial,wire_sim,path_sim,design}.rs \
+    crates/interconnect/src/{metrics,rctree,elmore,transient}.rs \
     crates/stats/src/par.rs crates/cells/src/characterize.rs; do
   awk '/#\[cfg\(test\)\]/{exit} /\.unwrap\(/{print FILENAME ":" FNR ": " $0}' "$f"
 done)

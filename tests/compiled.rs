@@ -381,3 +381,89 @@ fn timer_build_coefficients_are_pinned() {
         "coefficients file"
     );
 }
+
+/// Generated nets for the wire-kernel pins: `generate_net` at fanouts 1–4
+/// and `random_net` at 1–4 sinks, from one seeded stream.
+fn pinned_nets() -> Vec<nsigma_interconnect::RcTree> {
+    use nsigma_interconnect::{generate_net, random_net, NetGenConfig};
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(2023);
+    let mut nets = Vec::new();
+    for sinks in 1..=4 {
+        nets.push(generate_net(
+            &mut rng,
+            &NetGenConfig::default_28nm().with_fanout(sinks),
+        ));
+        nets.push(random_net(&mut rng, sinks));
+    }
+    nets
+}
+
+/// Hashes of the two wire kernels on generated nets: every node's
+/// impulse-response moments (m1, m2), and the ramp-driven transient's
+/// source, root and sink crossings behind a resistive driver. Recorded
+/// before the RC tree moved to flat parent/R/C arrays.
+const PINNED_MOMENTS: u64 = 0x88af_eadb_f59a_7eb2;
+const PINNED_RAMP_CROSSINGS: u64 = 0x6298_29d6_6390_87e2;
+
+#[test]
+fn wire_kernel_outputs_are_pinned() {
+    use nsigma_interconnect::{moments_all, simulate_ramp, TransientConfig};
+    let mut moments = Vec::new();
+    let mut crossings = Vec::new();
+    for (i, tree) in pinned_nets().iter().enumerate() {
+        let (m1, m2) = moments_all(tree);
+        moments.extend(m1);
+        moments.extend(m2);
+        let driver_res = 500.0 + 700.0 * i as f64;
+        let res = simulate_ramp(tree, &TransientConfig::auto(tree, 0.9, 10e-12, driver_res));
+        crossings.push(res.source_cross);
+        crossings.push(res.root_cross);
+        crossings.extend(res.sink_cross);
+    }
+    assert_eq!(fnv1a_bits(&moments), PINNED_MOMENTS, "moments");
+    assert_eq!(
+        fnv1a_bits(&crossings),
+        PINNED_RAMP_CROSSINGS,
+        "ramp crossings"
+    );
+}
+
+/// Hash of a transient-mode wire Monte Carlo on a three-sink `random_net`:
+/// every sample of every sink, so the sampled-tree transient path of the
+/// golden kernel is pinned bit for bit. Recorded before the transient ran
+/// on the kernel's flat arrays.
+const PINNED_TRANSIENT_MC: u64 = 0xae72_308d_6393_1023;
+
+#[test]
+fn transient_wire_mc_is_pinned() {
+    use nsigma_cells::{Cell, CellKind};
+    use nsigma_mc::wire_sim::{simulate_wire_mc, WireGoldenMode, WireMcConfig};
+    use rand::SeedableRng;
+    let tech = Technology::synthetic_28nm();
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+    let tree = nsigma_interconnect::random_net(&mut rng, 3);
+    let driver = Cell::new(CellKind::Nand2, 2);
+    let loads = [
+        Cell::new(CellKind::Inv, 1),
+        Cell::new(CellKind::Nor2, 2),
+        Cell::new(CellKind::Inv, 4),
+    ];
+    let cfg = WireMcConfig {
+        samples: 300,
+        seed: 17,
+        input_slew: 10e-12,
+        mode: WireGoldenMode::Transient,
+    };
+    let results = simulate_wire_mc(&tech, &tree, &driver, &loads.each_ref(), &cfg);
+    let samples: Vec<f64> = results
+        .iter()
+        .flat_map(|r| r.samples().iter().copied())
+        .collect();
+    assert_eq!(samples.len(), 900);
+    assert_eq!(
+        fnv1a_bits(&samples),
+        PINNED_TRANSIENT_MC,
+        "transient wire MC"
+    );
+}
