@@ -22,7 +22,7 @@
 //!   analysis, and exposes path/ranked-path analysis, cone-limited ECO
 //!   resizes that keep that state exact, and SDF export with typed
 //!   [`QueryError`] results;
-//! * [`reference`] — the legacy string-keyed implementation, kept only as
+//! * [`reference`](mod@reference) — the legacy string-keyed implementation, kept only as
 //!   the oracle of the differential-equivalence test suite;
 //! * [`extended`] — the ±6σ extension the paper mentions (Cornish–Fisher)
 //!   and timing-yield curves built from the sigma levels;

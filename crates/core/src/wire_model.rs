@@ -155,11 +155,21 @@ impl WireCalibConfig {
 /// folded in — the paper's `T_Elmore` over the full net parasitics
 /// (eq. 4), including the pins the router sees.
 pub fn elmore_with_pins(tech: &Technology, tree: &RcTree, loads: &[&Cell]) -> Vec<f64> {
-    let mut loaded = tree.clone();
+    let n = tree.len();
+    let mut cap = tree.caps().to_vec();
     for (k, &sink) in tree.sinks().iter().enumerate() {
-        loaded.add_cap(sink, loads[k].input_cap(tech));
+        cap[sink.index()] += loads[k].input_cap(tech);
     }
-    let m1 = nsigma_interconnect::elmore::elmore_all(&loaded);
+    let (mut down, mut m1, mut m2) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    nsigma_interconnect::elmore::moments_into(
+        tree.parents(),
+        tree.res(),
+        &cap,
+        0.0,
+        &mut down,
+        &mut m1,
+        &mut m2,
+    );
     tree.sinks().iter().map(|s| m1[s.index()]).collect()
 }
 
@@ -508,6 +518,44 @@ mod tests {
         assert!((inv1 / inv4 - 2.0).abs() < 1e-12);
         let nand1 = cell_coefficient(&Cell::new(CellKind::Nand2, 1));
         assert!((nand1 - 2.0f64.sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn elmore_with_pins_keeps_the_loaded_tree_bits() {
+        // The evaluation it replaced: a loaded copy of the tree, its pins
+        // added as node caps, then the tree-level Elmore pass.
+        let tech = Technology::synthetic_28nm();
+        let cells = [
+            Cell::new(CellKind::Inv, 1),
+            Cell::new(CellKind::Nand2, 2),
+            Cell::new(CellKind::Xor2, 4),
+            Cell::new(CellKind::Nor2, 8),
+        ];
+        let mut rng = SmallRng::seed_from_u64(2023);
+        for sinks in 1..=4 {
+            let cfg = nsigma_interconnect::NetGenConfig::default_28nm().with_fanout(sinks);
+            for tree in [
+                nsigma_interconnect::generate_net(&mut rng, &cfg),
+                random_net(&mut rng, sinks),
+            ] {
+                let loads: Vec<&Cell> = (0..tree.sinks().len()).map(|k| &cells[k % 4]).collect();
+                let mut loaded = tree.clone();
+                for (k, &sink) in tree.sinks().iter().enumerate() {
+                    loaded.add_cap(sink, loads[k].input_cap(&tech));
+                }
+                let m1 = nsigma_interconnect::elmore::elmore_all(&loaded);
+                let oracle: Vec<u64> = tree
+                    .sinks()
+                    .iter()
+                    .map(|s| m1[s.index()].to_bits())
+                    .collect();
+                let flat: Vec<u64> = elmore_with_pins(&tech, &tree, &loads)
+                    .iter()
+                    .map(|d| d.to_bits())
+                    .collect();
+                assert_eq!(flat, oracle);
+            }
+        }
     }
 
     #[test]

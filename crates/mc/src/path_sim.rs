@@ -77,7 +77,7 @@ pub fn nominal_stage_weight(design: &Design, g: nsigma_netlist::ir::GateId) -> f
 }
 
 /// One sampled path delay (s). Exposed for the experiment binaries that need
-/// per-stage breakdowns; it builds the path's [`PathPlan`] on every call,
+/// per-stage breakdowns; it builds the path's `PathPlan` on every call,
 /// so loops should use [`simulate_path_mc`], which builds it once.
 pub fn sample_path<R: Rng + ?Sized>(
     design: &Design,

@@ -1,5 +1,5 @@
 //! The golden per-trial walks: one Monte-Carlo sample of a whole circuit
-//! ([`CircuitPlan::trial`]) or of one path ([`PathPlan::trial`]).
+//! ([`CircuitPlan::trial`]) or of one path (`PathPlan::trial`).
 //!
 //! Both plans are built once per run; everything a trial needs is hoisted
 //! into dense per-gate arrays plus a [`WirePlan`] of the gates' flattened

@@ -58,10 +58,10 @@ impl Default for GlobalSample {
 #[derive(Debug, Clone, PartialEq)]
 pub struct VariationModel {
     global_vth_sigma: f64,
-    global_mobility_sigma: f64,
-    wire_res_global_sigma: f64,
-    wire_cap_global_sigma: f64,
-    wire_local_sigma: f64,
+    mobility: LogNormalFactor,
+    wire_res_global: LogNormalFactor,
+    wire_cap_global: LogNormalFactor,
+    wire_local: LogNormalFactor,
     /// Multiplier on local (per-device) mismatch; 0 disables it.
     local_scale: f64,
 }
@@ -71,10 +71,10 @@ impl VariationModel {
     pub fn new(tech: &Technology) -> Self {
         Self {
             global_vth_sigma: tech.global_vth_sigma,
-            global_mobility_sigma: tech.global_mobility_sigma,
-            wire_res_global_sigma: tech.wire_res_global_sigma,
-            wire_cap_global_sigma: tech.wire_cap_global_sigma,
-            wire_local_sigma: tech.wire_local_sigma,
+            mobility: LogNormalFactor::new(tech.global_mobility_sigma),
+            wire_res_global: LogNormalFactor::new(tech.wire_res_global_sigma),
+            wire_cap_global: LogNormalFactor::new(tech.wire_cap_global_sigma),
+            wire_local: LogNormalFactor::new(tech.wire_local_sigma),
             local_scale: 1.0,
         }
     }
@@ -84,10 +84,10 @@ impl VariationModel {
     pub fn disabled() -> Self {
         Self {
             global_vth_sigma: 0.0,
-            global_mobility_sigma: 0.0,
-            wire_res_global_sigma: 0.0,
-            wire_cap_global_sigma: 0.0,
-            wire_local_sigma: 0.0,
+            mobility: LogNormalFactor::new(0.0),
+            wire_res_global: LogNormalFactor::new(0.0),
+            wire_cap_global: LogNormalFactor::new(0.0),
+            wire_local: LogNormalFactor::new(0.0),
             local_scale: 0.0,
         }
     }
@@ -115,9 +115,9 @@ impl VariationModel {
     ) -> (GlobalSample, f64) {
         let z = standard_normal(rng) + shift;
         let dvth = self.global_vth_sigma * z;
-        let mobility = lognormal_factor(rng, self.global_mobility_sigma);
-        let wire_res_scale = lognormal_factor(rng, self.wire_res_global_sigma);
-        let wire_cap_scale = lognormal_factor(rng, self.wire_cap_global_sigma);
+        let mobility = self.mobility.sample(rng);
+        let wire_res_scale = self.wire_res_global.sample(rng);
+        let wire_cap_scale = self.wire_cap_global.sample(rng);
         (
             GlobalSample {
                 dvth,
@@ -136,18 +136,35 @@ impl VariationModel {
 
     /// Draws a local multiplicative wire R or C factor (log-normal, mean 1).
     pub fn sample_wire_local<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        lognormal_factor(rng, self.wire_local_sigma)
+        self.wire_local.sample(rng)
     }
 }
 
-/// A mean-1 log-normal multiplier with relative sigma `s`.
-fn lognormal_factor<R: Rng + ?Sized>(rng: &mut R, s: f64) -> f64 {
-    if s == 0.0 {
-        return 1.0;
+/// A mean-1 log-normal multiplier with relative sigma `s`:
+/// `exp(σ·z − σ²/2)` with `σ² = ln(1 + s²)`, both constants taken once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct LogNormalFactor {
+    sigma: f64,
+    half_var: f64,
+}
+
+impl LogNormalFactor {
+    fn new(s: f64) -> Self {
+        let var = (1.0 + s * s).ln();
+        Self {
+            sigma: var.sqrt(),
+            half_var: 0.5 * var,
+        }
     }
-    let sigma2 = (1.0 + s * s).ln();
-    let sigma = sigma2.sqrt();
-    (sigma * standard_normal(rng) - 0.5 * sigma2).exp()
+
+    /// One multiplier. With `σ = 0` it is exactly 1.0 and draws nothing
+    /// from `rng`, so a disabled sigma leaves the stream order alone.
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        if self.sigma == 0.0 {
+            return 1.0;
+        }
+        (self.sigma * standard_normal(rng) - self.half_var).exp()
+    }
 }
 
 #[cfg(test)]
@@ -219,6 +236,29 @@ mod tests {
         }
         let mean_z = sum_z / n as f64;
         assert!((mean_z - shift).abs() < 0.02, "mean z = {mean_z}");
+    }
+
+    #[test]
+    fn hoisted_lognormal_constants_keep_the_per_call_bits() {
+        // The factor as it was computed on every call, constants included.
+        fn per_call<R: Rng + ?Sized>(rng: &mut R, s: f64) -> f64 {
+            if s == 0.0 {
+                return 1.0;
+            }
+            let sigma2 = (1.0 + s * s).ln();
+            (sigma2.sqrt() * standard_normal(rng) - 0.5 * sigma2).exp()
+        }
+        for s in [0.0, 0.02, 0.05, 0.08, 0.3] {
+            let factor = LogNormalFactor::new(s);
+            let mut a = SmallRng::seed_from_u64(13);
+            let mut b = SmallRng::seed_from_u64(13);
+            for _ in 0..1000 {
+                assert_eq!(
+                    factor.sample(&mut a).to_bits(),
+                    per_call(&mut b, s).to_bits()
+                );
+            }
+        }
     }
 
     #[test]

@@ -121,6 +121,9 @@ cargo test -q --offline --release -p nsigma-interconnect
 # bit-identical to the tree-based oracle; check that on the optimized build.
 cargo test -q --offline --release -p nsigma-mc
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# The API docs build without warnings: no broken, ambiguous or private
+# intra-doc links.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 # Request paths must stay panic-free: no `.unwrap(` outside #[cfg(test)]
 # in the server, CLI and yield-engine sources, in the session engine

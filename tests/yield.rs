@@ -24,8 +24,12 @@ const PARASITIC_SEED: u64 = 7;
 /// Pinned +3σ (99.86 %) empirical tail quantile of c432 under the shared
 /// timer at the fixed seed below, in ps. Regression guard: a change to
 /// the sampling kernel, the RNG streams or the characterization that
-/// moves the tail by more than 2 % must be deliberate.
-const C432_TAIL_PS: f64 = 3399.7;
+/// moves the tail by more than 2 % must be deliberate. Re-pinned from
+/// 3399.7 ps when the ziggurat replaced the polar normal sampler; the new
+/// value lies inside the polar run's own order-statistic interval for the
+/// 99.865 % quantile, [3254.1, 3470.0] ps (8th-largest to largest of its
+/// 2048 trials, 93 % coverage).
+const C432_TAIL_PS: f64 = 3440.3;
 
 /// Pinned Monte-Carlo yield of c432 at its analytic +3σ quantile (from a
 /// long fixed-seed run); the importance-sampled CI must cover it.
@@ -197,8 +201,37 @@ proptest! {
 /// `u64` bits of the first eight plain-MC c432 trials (seed [`SEED`], one
 /// thread). The per-trial delays do not depend on the timer, only on the
 /// design, the RNG streams and the golden kernel, so any change to the
-/// kernel's arithmetic or draw order shows here bit for bit.
+/// kernel's arithmetic or draw order shows here bit for bit. Re-pinned
+/// when the ziggurat replaced the polar normal sampler: every deviate, and
+/// the generated parasitics, moved.
 const C432_FIRST_TRIALS: [u64; 8] = [
+    0x3e22_d107_8543_7cdb,
+    0x3e24_ec84_837a_3e5d,
+    0x3e23_27b2_de21_4a4e,
+    0x3e23_3bb9_c02e_2f71,
+    0x3e21_d55e_e8ad_b823,
+    0x3e25_5c6b_e6a8_6c6c,
+    0x3e23_210e_661f_0637,
+    0x3e22_11dd_b999_cfb8,
+];
+
+/// `u64` bits of the first eight golden path-MC samples on c432's nominal
+/// critical path (seed [`SEED`]), pinned and re-pinned for the same reason.
+const C432_FIRST_PATH_TRIALS: [u64; 8] = [
+    0x3e22_cef4_a0db_94d4,
+    0x3e22_4a53_b963_8858,
+    0x3e20_330b_de5c_fc51,
+    0x3e25_2aeb_b9fd_3c3d,
+    0x3e20_e227_603b_4cb8,
+    0x3e21_b5cc_8b18_b9e4,
+    0x3e23_2d18_0344_e21e,
+    0x3e23_68e7_215c_5ce0,
+];
+
+/// [`C432_FIRST_TRIALS`] as the kernel computed them on the Marsaglia
+/// polar normal sampler, before the ziggurat. Kept so that the bisection
+/// drift bound below still compares two kernels on the same stream.
+const C432_FIRST_TRIALS_POLAR: [u64; 8] = [
     0x3e1f_f8c6_3487_23f2,
     0x3e21_80c7_ae7e_ea3e,
     0x3e23_17cd_f533_2787,
@@ -209,9 +242,9 @@ const C432_FIRST_TRIALS: [u64; 8] = [
     0x3e27_33a2_d038_d868,
 ];
 
-/// `u64` bits of the first eight golden path-MC samples on c432's nominal
-/// critical path (seed [`SEED`]), pinned for the same reason.
-const C432_FIRST_PATH_TRIALS: [u64; 8] = [
+/// [`C432_FIRST_PATH_TRIALS`] on the polar sampler, kept for the same
+/// reason.
+const C432_FIRST_PATH_TRIALS_POLAR: [u64; 8] = [
     0x3e25_5a07_c6fe_9888,
     0x3e25_7fac_c6c0_c10b,
     0x3e22_f214_147a_203b,
@@ -222,7 +255,7 @@ const C432_FIRST_PATH_TRIALS: [u64; 8] = [
     0x3e21_16ba_615c_1398,
 ];
 
-/// [`C432_FIRST_TRIALS`] as the kernel computed them when
+/// [`C432_FIRST_TRIALS_POLAR`] as the kernel computed them when
 /// `two_pole_delay` bisected the fitted response for its 50 % crossing,
 /// before the closed-form/Newton crossing replaced it. Kept to bound the
 /// drift that replacement caused.
@@ -237,7 +270,7 @@ const C432_FIRST_TRIALS_BISECTION: [u64; 8] = [
     0x3e27_33a2_d038_d868,
 ];
 
-/// [`C432_FIRST_PATH_TRIALS`] under the bisection, kept for the same
+/// [`C432_FIRST_PATH_TRIALS_POLAR`] under the bisection, kept for the same
 /// reason.
 const C432_FIRST_PATH_TRIALS_BISECTION: [u64; 8] = [
     0x3e25_5a07_c6fe_9888,
@@ -264,8 +297,11 @@ fn assert_within_drift_bound(pinned: &[u64; 8], bisection: &[u64; 8]) {
 
 #[test]
 fn pinned_samples_stay_within_1e12_of_the_bisection_kernel() {
-    assert_within_drift_bound(&C432_FIRST_TRIALS, &C432_FIRST_TRIALS_BISECTION);
-    assert_within_drift_bound(&C432_FIRST_PATH_TRIALS, &C432_FIRST_PATH_TRIALS_BISECTION);
+    assert_within_drift_bound(&C432_FIRST_TRIALS_POLAR, &C432_FIRST_TRIALS_BISECTION);
+    assert_within_drift_bound(
+        &C432_FIRST_PATH_TRIALS_POLAR,
+        &C432_FIRST_PATH_TRIALS_BISECTION,
+    );
 }
 
 #[test]
