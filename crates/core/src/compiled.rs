@@ -33,7 +33,7 @@ use crate::stat_max::MergeRule;
 use nsigma_mc::design::Design;
 use nsigma_netlist::ir::{GateId, NetDriver, NetId};
 use nsigma_netlist::topo::{
-    k_longest_paths_by_with_order, longest_path_by_with_order, NetlistCsr, Path, PathScratch,
+    k_longest_paths_by_with_csr, longest_path_by_with_order, NetlistCsr, Path, PathScratch,
 };
 use nsigma_stats::quantile::{QuantileSet, SigmaLevel};
 
@@ -419,11 +419,12 @@ impl CompiledDesign {
 
     /// The `k` worst paths under the precomputed nominal weights — the
     /// ranking `report_worst_paths` and the server's `worst_paths` endpoint
-    /// share, minus the per-query weight recomputation and Kahn pass.
+    /// share (through the session's held list), minus the per-query weight
+    /// recomputation and Kahn pass.
     pub fn ranked_paths(&self, k: usize, scratch: &mut PathScratch) -> Vec<Path> {
-        k_longest_paths_by_with_order(
+        k_longest_paths_by_with_csr(
             &self.design.netlist,
-            &self.csr.order,
+            &self.csr,
             |g| self.path_weight[g.index()],
             k,
             scratch,

@@ -118,8 +118,9 @@ pub fn report_path(
 /// first), as `report_timing -nworst k` would.
 ///
 /// Paths are ranked by the session's precompiled nominal stage weights,
-/// then each is analyzed with the full N-sigma model. The session's
-/// scratch pool makes repeated reports allocation-free in steady state.
+/// then each is analyzed with the full N-sigma model. The ranking comes
+/// from the session's held list, so repeated reports between edits rank
+/// the design once.
 pub fn report_worst_paths<B: Borrow<NsigmaTimer>>(
     session: &TimingSession<B>,
     k: usize,

@@ -2,7 +2,7 @@
 //!
 //! A [`TimingSession`] is built once from a timer and a design. It owns the
 //! [`CompiledDesign`], the per-net arrival/slew state under its merge rule,
-//! and a pool of [`PathScratch`] tables, and it exposes the *entire* query
+//! and the ranked worst-path list, and it exposes the *entire* query
 //! surface — whole-design analysis (late and early), path analysis, ranked
 //! worst paths, ECO resizes with cone-limited recomputation, and SDF
 //! export — with typed [`QueryError`] results instead of query-time panics.
@@ -16,10 +16,17 @@
 //! [`TimingSession::analyze_design`], the resize answer, the yield
 //! engine's analytic target and SDF export all read that state.
 //!
-//! Read queries take `&self`: path DP tables come from an internal pool,
-//! so many threads can query one session concurrently (the server keeps a
-//! session per registered design behind an `RwLock` and serves reads in
-//! parallel). Resizes take `&mut self` and recompute only the affected
+//! The ranked list is state too, but lazy: the first `worst_paths` or
+//! `path_by_rank` after an edit ranks the design at the asked `k` and holds
+//! the list (with its DP tables) under one lock; later reads that need no
+//! more paths than it holds copy a prefix of it, and a resize drops it.
+//! The prefix is exact: the first `j` paths of a ranking at `k ≥ j` are
+//! the ranking at `j` (see [`nsigma_netlist::topo::k_longest_paths_by_with_csr`]).
+//!
+//! Read queries take `&self`, so many threads can query one session
+//! concurrently (the server keeps a session per registered design behind
+//! an `RwLock` and serves reads in parallel); ranked reads share the held
+//! list's lock. Resizes take `&mut self` and recompute only the affected
 //! timing cone.
 //!
 //! The legacy string-keyed implementation survives only as
@@ -146,9 +153,43 @@ pub struct TimingSession<B: Borrow<NsigmaTimer> = Arc<NsigmaTimer>> {
     dirty_net: Vec<bool>,
     /// Gates recomputed by the last resize.
     last_recompute: usize,
-    /// Pool of path DP tables for `&self` ranked-path queries; one per
-    /// concurrently querying thread, grown on demand and reused afterwards.
-    scratch: Mutex<Vec<PathScratch>>,
+    /// The ranked worst-path list of the current design, built by the
+    /// first ranked read after an edit.
+    ranked: Mutex<HeldPaths>,
+}
+
+/// The ranked worst-path list a session holds between edits, with the DP
+/// tables that built it.
+#[derive(Debug, Default)]
+struct HeldPaths {
+    scratch: PathScratch,
+    /// The `k` the list was ranked at.
+    k: usize,
+    /// The `k` worst paths (fewer if the design has fewer), or `None`
+    /// until the first ranked read after an edit.
+    paths: Option<Vec<Path>>,
+}
+
+impl HeldPaths {
+    /// The `k` worst paths: a prefix of the held list when that holds
+    /// them all (`k` within the held `k`, or the design ran out of paths
+    /// below it), otherwise a fresh ranking at `k` that replaces it. A
+    /// ranking never runs at more than the asked `k`, so one large query
+    /// does not make later rebuilds expensive.
+    fn ranked(&mut self, compiled: &CompiledDesign, k: usize) -> &[Path] {
+        let held_k = self.k;
+        if !self
+            .paths
+            .as_ref()
+            .is_some_and(|p| k <= held_k || p.len() < held_k)
+        {
+            let fresh = compiled.ranked_paths(k, &mut self.scratch);
+            self.k = k;
+            self.paths = Some(fresh);
+        }
+        let paths = self.paths.as_deref().unwrap_or_default();
+        &paths[..k.min(paths.len())]
+    }
 }
 
 impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
@@ -177,7 +218,7 @@ impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
             seed_gate: vec![false; gates],
             dirty_net: vec![false; nets],
             last_recompute: 0,
-            scratch: Mutex::new(Vec::new()),
+            ranked: Mutex::default(),
         };
         this.recompute(true);
         Ok(this)
@@ -198,21 +239,13 @@ impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
         &self.compiled
     }
 
-    /// Runs `f` with path DP tables from the pool, returning them
-    /// afterwards.
-    fn with_scratch<T>(&self, f: impl FnOnce(&mut PathScratch) -> T) -> T {
-        let mut scratch = self
-            .scratch
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop()
-            .unwrap_or_default();
-        let out = f(&mut scratch);
-        self.scratch
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(scratch);
-        out
+    /// Runs `f` on the `k` worst paths, from the held list under its lock.
+    /// A panic inside a ranking leaves the held `k` and list as they were,
+    /// and every ranking rewrites its tables, so a poisoned lock still
+    /// guards a valid list.
+    fn with_ranked<T>(&self, k: usize, f: impl FnOnce(&[Path]) -> T) -> T {
+        let mut held = self.ranked.lock().unwrap_or_else(PoisonError::into_inner);
+        f(held.ranked(&self.compiled, k))
     }
 
     /// Block-based whole-design analysis under the session's merge rule:
@@ -249,9 +282,10 @@ impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
         Ok(self.compiled.analyze_path(self.timer.borrow(), path))
     }
 
-    /// The `k` worst paths by nominal stage weights, worst first.
+    /// The `k` worst paths by nominal stage weights, worst first, copied
+    /// from the held ranked list.
     pub fn worst_paths(&self, k: usize) -> Vec<Path> {
-        self.with_scratch(|s| self.compiled.ranked_paths(k, s))
+        self.with_ranked(k, <[Path]>::to_vec)
     }
 
     /// The path of the given zero-based `rank` (0 = worst) together with
@@ -262,14 +296,12 @@ impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
     /// [`QueryError::NoSuchPath`] when the design has `rank` or fewer
     /// paths.
     pub fn path_by_rank(&self, rank: usize) -> Result<(Path, PathTiming), QueryError> {
-        let mut paths = self.worst_paths(rank + 1);
-        if paths.len() <= rank {
-            return Err(QueryError::NoSuchPath {
+        let path = self.with_ranked(rank.saturating_add(1), |paths| {
+            paths.get(rank).cloned().ok_or(QueryError::NoSuchPath {
                 rank,
                 available: paths.len(),
-            });
-        }
-        let path = paths.swap_remove(rank);
+            })
+        })?;
         let timing = self.analyze_path(&path)?;
         Ok((path, timing))
     }
@@ -365,6 +397,10 @@ impl<B: Borrow<NsigmaTimer>> TimingSession<B> {
     ) -> Result<QuantileSet, QueryError> {
         self.compiled
             .resize_gate_cell(self.timer.borrow(), gate, cell)?;
+        self.ranked
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .paths = None;
 
         // Seeds: the resized gate plus the drivers of its fanin nets (their
         // output load changed through the new pin capacitance).

@@ -50,6 +50,6 @@ pub use ir::{Gate, GateId, Net, NetDriver, NetId, Netlist};
 pub use logic::{LogicCircuit, LogicGate, LogicOp};
 pub use mapping::map_to_cells;
 pub use topo::{
-    depth, k_longest_paths_by, k_longest_paths_by_with_order, levels, longest_path_by,
+    depth, k_longest_paths_by, k_longest_paths_by_with_csr, levels, longest_path_by,
     longest_path_by_with_order, topo_order, NetlistCsr, Path, PathScratch,
 };

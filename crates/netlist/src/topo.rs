@@ -195,6 +195,10 @@ pub fn longest_path_by_with_order(
 /// with (predecessor gate, predecessor rank); paths are reconstructed by
 /// walking those links back. Returns fewer than `k` paths when the DAG has
 /// fewer distinct PI→PO routes. Paths are sorted heaviest first.
+///
+/// # Panics
+///
+/// Panics if a gate weight is not finite.
 pub fn k_longest_paths_by(
     netlist: &Netlist,
     gate_weight: impl Fn(GateId) -> f64,
@@ -203,19 +207,33 @@ pub fn k_longest_paths_by(
     if k == 0 || netlist.num_gates() == 0 {
         return Vec::new();
     }
-    let order = topo_order(netlist);
-    k_longest_paths_by_with_order(netlist, &order, gate_weight, k, &mut PathScratch::new())
+    let csr = NetlistCsr::build(netlist);
+    k_longest_paths_by_with_csr(netlist, &csr, gate_weight, k, &mut PathScratch::new())
 }
 
-/// Reusable buffers for [`k_longest_paths_by_with_order`]: the per-gate
-/// top-`k` tables and endpoint lists survive across calls, so a server
-/// answering `worst_paths` queries in a loop stops reallocating them.
+/// Marks a PI-rooted candidate in [`PathScratch`]'s links, and a
+/// PI-driven net in [`NetlistCsr::net_driver`].
+const NO_GATE: u32 = u32::MAX;
+
+/// Reusable buffers for [`k_longest_paths_by_with_csr`]: the flat top-`k`
+/// table and the merge and endpoint lists survive across calls, so a
+/// caller ranking paths in a loop stops reallocating them.
+///
+/// The table is one row per gate, laid out in topo order: gate `g`'s
+/// candidates sit at `start[g]..start[g] + len[g]`, heaviest first, with
+/// `len[g] ≤ k`. A candidate is its arrival weight plus the link
+/// `(predecessor gate, predecessor rank)` it came through, or
+/// `(NO_GATE, 0)` when it starts at this gate.
 #[derive(Debug, Default)]
 pub struct PathScratch {
-    tops: Vec<Vec<TopCandidate>>,
-    cands: Vec<TopCandidate>,
-    endpoints: Vec<(f64, GateId, usize)>,
-    po_drivers: Vec<GateId>,
+    start: Vec<usize>,
+    len: Vec<usize>,
+    value: Vec<f64>,
+    link: Vec<(u32, u32)>,
+    /// The current gate's fanin rows being merged: `(gate, next, end)`.
+    heads: Vec<(u32, usize, usize)>,
+    endpoints: Vec<(f64, u32, u32)>,
+    po_drivers: Vec<u32>,
 }
 
 impl PathScratch {
@@ -225,73 +243,115 @@ impl PathScratch {
     }
 }
 
-/// [`k_longest_paths_by`] over a caller-supplied topo `order`, reusing
-/// `scratch` buffers across calls. Produces bit-identical paths to the
-/// plain entry point; callers that precompute the order (compiled timing
-/// graphs) skip the per-query Kahn pass and the DP-table allocations.
-pub fn k_longest_paths_by_with_order(
+/// [`k_longest_paths_by`] over a caller-supplied [`NetlistCsr`] of
+/// `netlist`, reusing `scratch` buffers across calls. Callers that keep
+/// the CSR (compiled timing graphs) skip the per-query Kahn pass and the
+/// DP-table allocations.
+///
+/// Each gate's list is a merge of its fanin gates' lists, which are
+/// already sorted, plus a PI candidate when an input is a primary input
+/// (or the gate has no gate-driven input). Ties go to the earlier input
+/// pin, then the lower rank, and the PI candidate comes last: the order a
+/// stable descending sort of the pins' lists in pin order would give.
+/// The first `j` paths of a call at `k ≥ j` equal a call at `j`, because
+/// a candidate of source rank `≥ j` follows at least `j` candidates that
+/// are no lighter.
+///
+/// # Panics
+///
+/// Panics if a gate weight is not finite.
+pub fn k_longest_paths_by_with_csr(
     netlist: &Netlist,
-    order: &[GateId],
+    csr: &NetlistCsr,
     gate_weight: impl Fn(GateId) -> f64,
     k: usize,
     scratch: &mut PathScratch,
 ) -> Vec<Path> {
-    if k == 0 || netlist.num_gates() == 0 {
+    let n = csr.gate_output.len();
+    if k == 0 || n == 0 {
         return Vec::new();
     }
-    let n = netlist.num_gates();
-    // Per gate: up to k candidates, sorted descending by arrival.
-    scratch.tops.resize_with(n, Vec::new);
-    for t in &mut scratch.tops {
-        t.clear();
-    }
-    let tops = &mut scratch.tops;
+    let PathScratch {
+        start,
+        len,
+        value,
+        link,
+        heads,
+        endpoints,
+        po_drivers,
+    } = scratch;
 
-    for &g in order {
+    // Rows are appended in topo order, so a fanin's row is complete before
+    // any gate reads it, and the table holds only candidates that exist.
+    start.resize(n, 0);
+    len.resize(n, 0);
+    value.clear();
+    link.clear();
+    for &g in &csr.order {
+        let gi = g.index();
         let w = gate_weight(g);
-        let cands = &mut scratch.cands;
-        cands.clear();
-        let mut from_pi = false;
-        for &i in &netlist.gate(g).inputs {
-            match netlist.net(i).driver {
-                NetDriver::Gate(src) => {
-                    for (rank, &(a, _)) in tops[src.index()].iter().enumerate() {
-                        cands.push((a + w, Some((src, rank))));
-                    }
+        assert!(w.is_finite(), "finite weights: gate {gi} weighs {w}");
+        heads.clear();
+        let mut pi_pending = false;
+        for &net in csr.fanins(gi) {
+            match csr.net_driver[net as usize] {
+                NO_GATE => pi_pending = true,
+                src => {
+                    let s = start[src as usize];
+                    heads.push((src, s, s + len[src as usize]));
                 }
-                NetDriver::PrimaryInput => from_pi = true,
             }
         }
-        if from_pi || cands.is_empty() {
-            cands.push((w, None));
+        pi_pending |= heads.is_empty();
+        start[gi] = value.len();
+        while value.len() - start[gi] < k {
+            // The heaviest remaining head; `>` keeps the earlier pin on a tie.
+            let mut best: Option<(usize, f64)> = None;
+            for (h, &(_, next, end)) in heads.iter().enumerate() {
+                if next < end {
+                    let v = value[next] + w;
+                    if best.is_none_or(|(_, b)| v > b) {
+                        best = Some((h, v));
+                    }
+                }
+            }
+            match best {
+                Some((h, v)) if !pi_pending || v >= w => {
+                    let (src, next, _) = heads[h];
+                    heads[h].1 += 1;
+                    value.push(v);
+                    link.push((src, (next - start[src as usize]) as u32));
+                }
+                _ if pi_pending => {
+                    value.push(w);
+                    link.push((NO_GATE, 0));
+                    pi_pending = false;
+                }
+                _ => break,
+            }
         }
-        cands.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite weights"));
-        cands.truncate(k);
-        tops[g.index()].extend_from_slice(cands);
+        len[gi] = value.len() - start[gi];
     }
 
-    // Collect endpoint candidates over PO drivers (fallback: all gates).
-    let endpoints = &mut scratch.endpoints;
-    endpoints.clear();
-    let po_drivers = &mut scratch.po_drivers;
+    // Endpoint candidates over PO drivers (fallback: all gates).
     po_drivers.clear();
     po_drivers.extend(
         netlist
             .outputs()
             .iter()
-            .filter_map(|&o| match netlist.net(o).driver {
-                NetDriver::Gate(g) => Some(g),
-                NetDriver::PrimaryInput => None,
-            }),
+            .map(|o| csr.net_driver[o.index()])
+            .filter(|&d| d != NO_GATE),
     );
     po_drivers.sort_unstable();
     po_drivers.dedup();
     if po_drivers.is_empty() {
-        po_drivers.extend_from_slice(order);
+        po_drivers.extend(csr.order.iter().map(|g| g.index() as u32));
     }
+    endpoints.clear();
     for &g in po_drivers.iter() {
-        for (rank, &(a, _)) in tops[g.index()].iter().enumerate() {
-            endpoints.push((a, g, rank));
+        let s = start[g as usize];
+        for rank in 0..len[g as usize] {
+            endpoints.push((value[s + rank], g, rank as u32));
         }
     }
     endpoints.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite weights"));
@@ -299,7 +359,7 @@ pub fn k_longest_paths_by_with_order(
 
     endpoints
         .iter()
-        .map(|&(_, end, rank)| reconstruct(netlist, tops, end, rank))
+        .map(|&(_, end, rank)| reconstruct(netlist, csr, start, link, end, rank))
         .collect()
 }
 
@@ -323,6 +383,8 @@ pub struct NetlistCsr {
     pub fanout_start: Vec<u32>,
     /// Gate index of every net load, in `net.loads` order.
     pub fanout_gates: Vec<u32>,
+    /// Driving gate index per net, or `u32::MAX` for a primary input.
+    pub net_driver: Vec<u32>,
     /// Logic level per gate (same contract as [`levels`]).
     pub level: Vec<u32>,
 }
@@ -350,10 +412,15 @@ impl NetlistCsr {
 
         let mut fanout_start = Vec::with_capacity(nets + 1);
         let mut fanout_gates = Vec::new();
+        let mut net_driver = Vec::with_capacity(nets);
         for net_idx in 0..nets {
             fanout_start.push(fanout_gates.len() as u32);
-            let net = netlist.net(crate::ir::NetId::from_index(net_idx));
+            let net = netlist.net(NetId::from_index(net_idx));
             fanout_gates.extend(net.loads.iter().map(|&(g, _)| g.index() as u32));
+            net_driver.push(match net.driver {
+                NetDriver::Gate(g) => g.index() as u32,
+                NetDriver::PrimaryInput => NO_GATE,
+            });
         }
         fanout_start.push(fanout_gates.len() as u32);
 
@@ -379,6 +446,7 @@ impl NetlistCsr {
             gate_output,
             fanout_start,
             fanout_gates,
+            net_driver,
             level,
         }
     }
@@ -394,38 +462,45 @@ impl NetlistCsr {
     }
 }
 
-/// One ranked arrival candidate at a gate: the arrival weight plus the
-/// predecessor link `(gate, rank)` it came through (`None` at a primary
-/// input).
-type TopCandidate = (f64, Option<(GateId, usize)>);
-
 /// Walks the top-k links back from `(end, rank)` into a [`Path`].
-fn reconstruct(netlist: &Netlist, tops: &[Vec<TopCandidate>], end: GateId, rank: usize) -> Path {
-    let mut gates = vec![end];
+fn reconstruct(
+    netlist: &Netlist,
+    csr: &NetlistCsr,
+    start: &[usize],
+    link: &[(u32, u32)],
+    end: u32,
+    rank: u32,
+) -> Path {
+    let mut gates = vec![GateId::from_index(end as usize)];
     let mut cur = (end, rank);
-    while let Some((pred, pred_rank)) = tops[cur.0.index()][cur.1].1 {
-        gates.push(pred);
+    loop {
+        let (pred, pred_rank) = link[start[cur.0 as usize] + cur.1 as usize];
+        if pred == NO_GATE {
+            break;
+        }
+        gates.push(GateId::from_index(pred as usize));
         cur = (pred, pred_rank);
     }
     gates.reverse();
 
+    // The net into each gate: the one the previous path gate drives (the
+    // first input for the source gate), then the final output.
     let mut nets = Vec::with_capacity(gates.len() + 1);
     for (idx, &g) in gates.iter().enumerate() {
-        let want_prev = if idx == 0 { None } else { Some(gates[idx - 1]) };
-        let gate = netlist.gate(g);
-        let input = gate
-            .inputs
-            .iter()
-            .copied()
-            .find(|&i| match (want_prev, netlist.net(i).driver) {
-                (Some(prev), NetDriver::Gate(src)) => src == prev,
-                (None, _) => true,
-                _ => false,
+        let fanins = csr.fanins(g.index());
+        let input = idx
+            .checked_sub(1)
+            .and_then(|p| {
+                let prev = gates[p].index() as u32;
+                fanins
+                    .iter()
+                    .copied()
+                    .find(|&i| csr.net_driver[i as usize] == prev)
             })
-            .unwrap_or(gate.inputs[0]);
-        nets.push(input);
+            .unwrap_or(fanins[0]);
+        nets.push(NetId::from_index(input as usize));
     }
-    nets.push(netlist.gate(end).output);
+    nets.push(netlist.gate(GateId::from_index(end as usize)).output);
     Path { gates, nets }
 }
 
@@ -555,6 +630,181 @@ mod tests {
             let last = *p.nets.last().unwrap();
             assert!(nl.outputs().contains(&last));
         }
+    }
+
+    /// The sort-based DP the merge replaced, kept as the oracle: each gate
+    /// collects its fanin candidates in pin order (PI candidate last),
+    /// sorts them stably by descending weight and keeps `k`.
+    fn sorted_oracle(nl: &Netlist, weight: impl Fn(GateId) -> f64, k: usize) -> Vec<Path> {
+        type Cand = (f64, Option<(GateId, usize)>);
+        let mut tops: Vec<Vec<Cand>> = vec![Vec::new(); nl.num_gates()];
+        for g in topo_order(nl) {
+            let w = weight(g);
+            let mut cands: Vec<Cand> = Vec::new();
+            let mut from_pi = false;
+            for &i in &nl.gate(g).inputs {
+                match nl.net(i).driver {
+                    NetDriver::Gate(src) => cands.extend(
+                        tops[src.index()]
+                            .iter()
+                            .enumerate()
+                            .map(|(rank, &(a, _))| (a + w, Some((src, rank)))),
+                    ),
+                    NetDriver::PrimaryInput => from_pi = true,
+                }
+            }
+            if from_pi || cands.is_empty() {
+                cands.push((w, None));
+            }
+            cands.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+            cands.truncate(k);
+            tops[g.index()] = cands;
+        }
+        let mut drivers: Vec<GateId> = nl
+            .outputs()
+            .iter()
+            .filter_map(|&o| match nl.net(o).driver {
+                NetDriver::Gate(g) => Some(g),
+                NetDriver::PrimaryInput => None,
+            })
+            .collect();
+        drivers.sort_unstable();
+        drivers.dedup();
+        let mut ends: Vec<(f64, GateId, usize)> = drivers
+            .iter()
+            .flat_map(|&g| {
+                let row = &tops[g.index()];
+                row.iter().enumerate().map(move |(r, &(a, _))| (a, g, r))
+            })
+            .collect();
+        ends.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+        ends.truncate(k);
+        ends.iter()
+            .map(|&(_, end, rank)| {
+                let mut gates = vec![end];
+                let mut cur = (end, rank);
+                while let Some(prev) = tops[cur.0.index()][cur.1].1 {
+                    gates.push(prev.0);
+                    cur = prev;
+                }
+                gates.reverse();
+                let mut nets: Vec<NetId> = gates
+                    .iter()
+                    .enumerate()
+                    .map(|(idx, &g)| {
+                        let inputs = &nl.gate(g).inputs;
+                        idx.checked_sub(1)
+                            .and_then(|p| {
+                                inputs
+                                    .iter()
+                                    .copied()
+                                    .find(|&i| nl.net(i).driver == NetDriver::Gate(gates[p]))
+                            })
+                            .unwrap_or(inputs[0])
+                    })
+                    .collect();
+                nets.push(nl.gate(end).output);
+                Path { gates, nets }
+            })
+            .collect()
+    }
+
+    /// Mapped ISCAS85 and synthetic circuits for the ranking checks.
+    fn ranking_designs() -> Vec<Netlist> {
+        use crate::generators::random_dag::{synthetic_circuit, Iscas85, SyntheticConfig};
+        use crate::mapping::map_to_cells;
+        let lib = CellLibrary::standard();
+        let mut circuits = vec![Iscas85::C432.generate(), Iscas85::C1355.generate()];
+        for (i, (gates, inputs, outputs, depth)) in
+            [(60, 6, 4, 5), (150, 12, 8, 9)].into_iter().enumerate()
+        {
+            circuits.push(synthetic_circuit(&SyntheticConfig {
+                name: format!("rank{i}"),
+                gates,
+                inputs,
+                outputs,
+                depth,
+                seed: 31 + i as u64,
+            }));
+        }
+        circuits
+            .iter()
+            .map(|c| map_to_cells(c, &lib).unwrap())
+            .collect()
+    }
+
+    /// Seeded per-gate weights: `ties` rounds them to 0, 1 or 2, so most
+    /// merges see equal candidates, PI candidates included (a zero-weight
+    /// gate passes its PI candidate's weight on unchanged).
+    fn seeded_weights(n: usize, seed: u64, ties: bool) -> Vec<f64> {
+        let mut state = seed | 1;
+        (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+                if ties {
+                    (2.0 * u).round()
+                } else {
+                    (1.0 + 2.0 * u) * 1e-11
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merged_ranking_matches_the_sorted_oracle() {
+        for (d, nl) in ranking_designs().iter().enumerate() {
+            let csr = NetlistCsr::build(nl);
+            let mut scratch = PathScratch::new();
+            for ties in [false, true] {
+                let w = seeded_weights(nl.num_gates(), 7 + d as u64, ties);
+                for k in [1, 2, 3, 8, 20] {
+                    let got =
+                        k_longest_paths_by_with_csr(nl, &csr, |g| w[g.index()], k, &mut scratch);
+                    let want = sorted_oracle(nl, |g| w[g.index()], k);
+                    assert_eq!(got, want, "{} k={k} ties={ties}", nl.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_larger_k_ranking_starts_with_the_smaller_one() {
+        const BIG: usize = 24;
+        for (d, nl) in ranking_designs().iter().enumerate() {
+            let csr = NetlistCsr::build(nl);
+            let mut scratch = PathScratch::new();
+            for ties in [false, true] {
+                let w = seeded_weights(nl.num_gates(), 101 + d as u64, ties);
+                let weight = |g: GateId| w[g.index()];
+                let big = k_longest_paths_by_with_csr(nl, &csr, weight, BIG, &mut scratch);
+                for k in 1..BIG {
+                    let small = k_longest_paths_by_with_csr(nl, &csr, weight, k, &mut scratch);
+                    assert_eq!(
+                        small[..],
+                        big[..k.min(big.len())],
+                        "{} k={k} ties={ties}",
+                        nl.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn k_past_the_path_count_returns_every_path_once() {
+        let nl = chain(4);
+        let paths = k_longest_paths_by(&nl, |_| 1.0, usize::MAX - 1);
+        assert_eq!(paths.len(), 1, "a chain has one PI→PO path");
+        assert_eq!(paths[0].len(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite weights")]
+    fn a_non_finite_weight_panics() {
+        k_longest_paths_by(&chain(3), |_| f64::NAN, 2);
     }
 
     #[test]

@@ -32,6 +32,11 @@
 //! mean-shifted sampler), `"samples"` (hard cap, default 65536, at most
 //! [`MAX_YIELD_SAMPLES`]) and `"seed"`.
 //!
+//! `worst_paths` asks for `"k"` paths (default 1, at most
+//! [`MAX_RANKED_PATHS`]) and `quantile` for the path of rank `"path"`
+//! (default 0, below [`MAX_RANKED_PATHS`]); a larger value answers
+//! `bad_request`.
+//!
 //! `register_design` lints the generated design before admitting it and
 //! answers `lint_failed` (listing the offending diagnostic codes) when
 //! error-severity findings exist; passing `"lint": false` restores the
@@ -45,6 +50,13 @@ use crate::json::{self, Value};
 /// rather than letting one request grow memory and block `eco_resize`
 /// without limit.
 pub const MAX_YIELD_SAMPLES: usize = 1 << 20;
+
+/// The most paths a `worst_paths` request may ask for; a `quantile`
+/// request's `"path"` rank must lie below it. The ranking keeps up to `k`
+/// candidates per gate, so an unbounded `k` would let one request grow the
+/// design's path table without limit (at this cap c6288's table holds
+/// ~270 000 candidates, ~4.4 MB; DESIGN.md §8).
+pub const MAX_RANKED_PATHS: usize = 64;
 
 /// A parsed, validated request.
 #[derive(Debug, Clone, PartialEq)]
@@ -262,19 +274,30 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
         "analyze_path" => Ok(Request::AnalyzePath {
             design: str_field(&v, "design")?,
         }),
-        "worst_paths" => Ok(Request::WorstPaths {
-            design: str_field(&v, "design")?,
-            k: usize_field(&v, "k", Some(1))?,
-        }),
-        "quantile" => Ok(Request::Quantile {
-            design: str_field(&v, "design")?,
-            path: usize_field(&v, "path", Some(0))?,
-            sigma: v
-                .get("sigma")
-                .and_then(Value::as_f64)
-                .filter(|s| s.is_finite())
-                .ok_or(ProtoError::BadField("sigma"))?,
-        }),
+        "worst_paths" => {
+            let design = str_field(&v, "design")?;
+            let k = usize_field(&v, "k", Some(1))?;
+            if k > MAX_RANKED_PATHS {
+                return Err(ProtoError::BadField("k"));
+            }
+            Ok(Request::WorstPaths { design, k })
+        }
+        "quantile" => {
+            let design = str_field(&v, "design")?;
+            let path = usize_field(&v, "path", Some(0))?;
+            if path >= MAX_RANKED_PATHS {
+                return Err(ProtoError::BadField("path"));
+            }
+            Ok(Request::Quantile {
+                design,
+                path,
+                sigma: v
+                    .get("sigma")
+                    .and_then(Value::as_f64)
+                    .filter(|s| s.is_finite())
+                    .ok_or(ProtoError::BadField("sigma"))?,
+            })
+        }
         "yield_design" => {
             let target_period = v
                 .get("target_period")
@@ -559,6 +582,32 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn ranked_path_fields_are_capped() {
+        let with_k = |k: usize| format!(r#"{{"cmd":"worst_paths","design":"d","k":{k}}}"#);
+        assert!(matches!(
+            parse_request(&with_k(MAX_RANKED_PATHS)).unwrap(),
+            Request::WorstPaths {
+                k: MAX_RANKED_PATHS,
+                ..
+            }
+        ));
+        assert_eq!(
+            parse_request(&with_k(MAX_RANKED_PATHS + 1)).unwrap_err(),
+            ProtoError::BadField("k")
+        );
+        let with_path =
+            |p: usize| format!(r#"{{"cmd":"quantile","design":"d","path":{p},"sigma":3}}"#);
+        assert!(matches!(
+            parse_request(&with_path(MAX_RANKED_PATHS - 1)).unwrap(),
+            Request::Quantile { path, .. } if path == MAX_RANKED_PATHS - 1
+        ));
+        assert_eq!(
+            parse_request(&with_path(MAX_RANKED_PATHS)).unwrap_err(),
+            ProtoError::BadField("path")
+        );
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! a slot from the engine's admission gate, executes the request against
 //! the shared [`Engine`] and writes the answer. The engine owns the timer
 //! behind an `Arc` and one [`TimingSession`] per registered design, each
-//! behind its own `RwLock` in the design store. Sessions carry their own
-//! scratch pools, so concurrent readers of one design never contend on
-//! thread-local state, and every query failure surfaces as a typed
-//! [`QueryError`] mapped onto the protocol's error codes instead of a
-//! panic.
+//! behind its own `RwLock` in the design store. A session holds its
+//! ranked worst-path list between edits, so concurrent `worst_paths` and
+//! `quantile` readers of one design share one ranking (and its lock), and
+//! every query failure surfaces as a typed [`QueryError`] mapped onto the
+//! protocol's error codes instead of a panic.
 //!
 //! The gate is a `Mutex` over two counters (running, waiting) and one
 //! `Condvar`. At most [`ServerConfig::threads`] requests run at once and

@@ -113,6 +113,10 @@ cargo test -q --offline --release -p nsigma --test compiled
 # The yield suite pins the golden kernel's trial bits; run it on the
 # optimized build too.
 cargo test -q --offline --release -p nsigma --test yield
+# The daemon suite's concurrent readers share each design's one held
+# ranked-path list and its lock; run them on the optimized build the
+# server ships as well.
+cargo test -q --offline --release -p nsigma --test server
 # The two-pole crossing's accuracy sweep (closed form and Newton within the
 # rounding-error bound of the 80-step bisection oracle, a few ulps on the
 # c432 range) is a claim about the optimized build's arithmetic.

@@ -188,8 +188,7 @@ fn worst_paths_ranking_matches_legacy() {
         assert_eq!(lp.gates, fp.gates, "path gate sequence differs");
         assert_eq!(lp.nets, fp.nets, "path net sequence differs");
     }
-    // Reusing the session's scratch pool must not perturb a second
-    // identical query.
+    // A second identical query answers from the held list, unchanged.
     let again = session.worst_paths(8);
     for (fp, ap) in fast.iter().zip(&again) {
         assert_eq!(fp.gates, ap.gates);
@@ -210,18 +209,67 @@ impl XorShift {
 
 const RESIZE_STEPS: usize = 100;
 
+/// A circuit small enough to have fewer PI→PO paths than the ranked reads
+/// of the resize sequences ask for.
+fn few_path_design(tech: &Technology, lib: &CellLibrary) -> Design {
+    let circuit = synthetic_circuit(&SyntheticConfig {
+        name: "few_paths".to_string(),
+        gates: 5,
+        inputs: 2,
+        outputs: 1,
+        depth: 3,
+        seed: 3,
+    });
+    design_of(tech, lib, &circuit, 5)
+}
+
+/// Ranked reads between two edits, each checked against a fresh ranking
+/// of the twin design at the asked `k`: a first read at `a` (it ranks),
+/// one at `b > a` (it must rank again), a `path_by_rank` and one more
+/// read, both at seeded ranks in 1–8.
+fn assert_ranked_reads_match(
+    session: &TimingSession<&NsigmaTimer>,
+    twin: &Design,
+    rng: &mut XorShift,
+    what: &str,
+) {
+    let a = 1 + rng.next() as usize % 7;
+    let b = a + 1 + rng.next() as usize % (8 - a);
+    let c = 1 + rng.next() as usize % 8;
+    for k in [a, b, c] {
+        let oracle = legacy_ranked_paths(twin, k);
+        assert_eq!(session.worst_paths(k), oracle, "{what}: worst_paths({k})");
+    }
+    let rank = rng.next() as usize % 8;
+    let oracle = legacy_ranked_paths(twin, rank + 1);
+    match session.path_by_rank(rank) {
+        Ok((path, _)) => assert_eq!(Some(&path), oracle.get(rank), "{what}: rank {rank}"),
+        Err(e) => assert!(oracle.len() <= rank, "{what}: rank {rank}: {e}"),
+    }
+}
+
 /// Seeded random resizes under both merge rules. After every step the
 /// session's incremental state must equal a full re-analysis bit for bit:
 /// the returned and reported worst outputs against the string-keyed
 /// oracle on a twin design, and every net's arrival (all seven levels)
-/// against a fresh session built on that twin.
+/// against a fresh session built on that twin. Between resizes, ranked
+/// reads at mixed `k` must equal a fresh ranking of the twin, including
+/// on a design with fewer paths than they ask for.
 #[test]
 fn resize_sequences_match_reference_full_reanalysis() {
     let tech = Technology::synthetic_28nm();
     let lib = CellLibrary::standard();
     let timer = build_timer(&tech, &lib);
+    let few_paths = few_path_design(&tech, &lib);
+    let few = legacy_ranked_paths(&few_paths, 64).len();
+    assert!(
+        (2..8).contains(&few),
+        "the small design has {few} paths; the reads must ask for more"
+    );
+    let mut designs = generated_designs(&tech, &lib);
+    designs.push(few_paths);
 
-    for design in generated_designs(&tech, &lib) {
+    for design in designs {
         for rule in [MergeRule::Pessimistic, MergeRule::Clark { rho: 0.3 }] {
             let name = format!("{} {rule:?}", design.netlist.name());
             let mut twin = design.clone();
@@ -263,6 +311,7 @@ fn resize_sequences_match_reference_full_reanalysis() {
                 if step % 10 == 0 {
                     assert_critical_path_matches(&timer, &session, &twin, &what);
                 }
+                assert_ranked_reads_match(&session, &twin, &mut rng, &what);
                 assert!(
                     session.last_recompute_count() <= total_gates,
                     "recompute visited more gates than the design has"
@@ -285,19 +334,26 @@ fn eight_threads_match_reference_bit_for_bit() {
         TimingSession::new(&timer, design.clone(), MergeRule::Pessimistic).expect("session build");
     let reference_q = reference::analyze_design_with(&timer, &design, MergeRule::Pessimistic);
     let reference_early = reference::analyze_design_early(&timer, &design);
-    let reference_paths = legacy_ranked_paths(&design, 8);
+    // Thread t asks for t + 1 paths, so the held list is read below,
+    // at and above its `k` while the others rerank it.
+    let reference_paths: Vec<Vec<Path>> = (1..=THREADS as usize)
+        .map(|k| legacy_ranked_paths(&design, k))
+        .collect();
 
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|_| {
-                scope.spawn(|| {
+        let handles: Vec<_> = reference_paths
+            .iter()
+            .enumerate()
+            .map(|(t, reference_paths)| {
+                let (session, reference_q, reference_early) =
+                    (&session, &reference_q, &reference_early);
+                scope.spawn(move || {
                     for _ in 0..ITERS {
                         let q = session.analyze_design();
-                        assert_bits_eq(&reference_q, &q, "concurrent analyze_design");
+                        assert_bits_eq(reference_q, &q, "concurrent analyze_design");
                         let early = session.analyze_design_early();
-                        assert_bits_eq(&reference_early, &early, "concurrent early");
-                        // Ranked paths draw their DP tables from the pool.
-                        assert_eq!(session.worst_paths(8), reference_paths);
+                        assert_bits_eq(reference_early, &early, "concurrent early");
+                        assert_eq!(&session.worst_paths(t + 1), reference_paths);
                     }
                 })
             })

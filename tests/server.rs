@@ -11,6 +11,7 @@ use nsigma_netlist::generators::random_dag::Iscas85;
 use nsigma_netlist::mapping::map_to_cells;
 use nsigma_netlist::{k_longest_paths_by, Path};
 use nsigma_process::Technology;
+use nsigma_server::protocol::MAX_RANKED_PATHS;
 use nsigma_server::{
     Client, Request, Server, ServerConfig, ServerHandle, Value, MAX_REQUEST_BYTES,
 };
@@ -393,6 +394,42 @@ fn over_long_request_line_is_rejected_and_the_server_keeps_answering() {
     assert_eq!(stats.get("ok").unwrap().as_bool(), Some(true));
     let metrics = stats.get("metrics").unwrap();
     assert_eq!(metrics.get("bad_requests").unwrap().as_u64(), Some(2));
+    handle.shutdown();
+}
+
+#[test]
+fn ranked_path_requests_past_the_cap_are_refused_and_the_connection_keeps_answering() {
+    let handle = Server::start(ServerConfig {
+        threads: 1,
+        timer: timer_config(),
+        ..ServerConfig::default()
+    })
+    .expect("server start");
+    let mut client = Client::connect(("127.0.0.1", handle.port())).expect("connect");
+    register_c432(&mut client);
+
+    // Refused at parse time, before any ranking runs.
+    let over_k = client
+        .request(r#"{"cmd":"worst_paths","design":"c432","k":1000000}"#)
+        .expect("response");
+    assert_eq!(code(&over_k), Some("bad_request"));
+    let over_path = client
+        .request(&format!(
+            r#"{{"cmd":"quantile","design":"c432","path":{MAX_RANKED_PATHS},"sigma":3}}"#
+        ))
+        .expect("response");
+    assert_eq!(code(&over_path), Some("bad_request"));
+
+    // The same connection still answers, at the cap itself too.
+    let at_cap = client
+        .request_ok(&format!(
+            r#"{{"cmd":"worst_paths","design":"c432","k":{MAX_RANKED_PATHS}}}"#
+        ))
+        .expect("worst_paths at the cap");
+    let paths = at_cap.get("paths").unwrap().as_arr().unwrap();
+    assert!(!paths.is_empty() && paths.len() <= MAX_RANKED_PATHS);
+    let stats = client.request_ok(r#"{"cmd":"stats"}"#).expect("stats");
+    assert_eq!(counter(&stats, "bad_requests"), Some(2));
     handle.shutdown();
 }
 
